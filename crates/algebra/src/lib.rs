@@ -32,7 +32,7 @@ pub mod views;
 pub use browsability::{classify, Browsability, NcCapabilities};
 pub use compose::compose;
 pub use plan::{GroupItem, OpId, Plan, PlanId, PlanNode};
-pub use pred::{BindPred, PredOperand};
+pub use pred::{BindPred, PredOperand, PreparedPred};
 pub use translate::translate;
 pub use views::{
     parse_view_source, view_source_name, RewriteResult, SemanticOutcome, ViewCatalog, ViewId,

@@ -162,8 +162,8 @@ impl fmt::Display for BindPred {
 /// parse as integers, otherwise lexicographic on text, canonical form as
 /// the final tie-breaker (so sorting is deterministic on equal text).
 pub fn value_ord(a: &Tree, b: &Tree) -> std::cmp::Ordering {
-    let at = a.text();
-    let bt = b.text();
+    let at = a.text_cow();
+    let bt = b.text_cow();
     let primary = match (at.trim().parse::<i64>(), bt.trim().parse::<i64>()) {
         (Ok(x), Ok(y)) => x.cmp(&y),
         _ => at.cmp(&bt),
@@ -181,11 +181,94 @@ pub fn value_cmp(a: &Tree, op: CmpOp, b: &Tree) -> bool {
     if matches!(op, CmpOp::Ne) && a == b {
         return false;
     }
-    let at = a.text();
-    let bt = b.text();
+    let at = a.text_cow();
+    let bt = b.text_cow();
     match (at.trim().parse::<i64>(), bt.trim().parse::<i64>()) {
         (Ok(x), Ok(y)) => op.eval(&x, &y),
-        _ => op.eval(&at.as_str(), &bt.as_str()),
+        _ => op.eval(&&*at, &&*bt),
+    }
+}
+
+/// A [`BindPred`] prepared for evaluation over many bindings: its
+/// variables numbered once, in [`BindPred::vars`] order, and its literal
+/// operands built once. The lazy `select` and `join` evaluate one per
+/// candidate binding, reading the values by slot.
+#[derive(Debug, Clone)]
+pub struct PreparedPred {
+    vars: Vec<Var>,
+    node: Prepared,
+}
+
+#[derive(Debug, Clone)]
+enum Prepared {
+    True,
+    Cmp { left: Slot, op: CmpOp, right: Slot },
+    And(Box<Prepared>, Box<Prepared>),
+    Or(Box<Prepared>, Box<Prepared>),
+    Not(Box<Prepared>),
+}
+
+#[derive(Debug, Clone)]
+enum Slot {
+    /// Index into [`PreparedPred::vars`].
+    Var(usize),
+    Lit(Tree),
+}
+
+impl PreparedPred {
+    /// Prepare `pred`.
+    pub fn new(pred: &BindPred) -> Self {
+        fn prep(p: &BindPred, vars: &[Var]) -> Prepared {
+            let slot = |o: &PredOperand| match o {
+                PredOperand::Var(v) => Slot::Var(
+                    vars.iter().position(|x| x == v).expect("vars() lists every variable"),
+                ),
+                lit => Slot::Lit(lit.literal_tree().expect("a non-variable operand is a literal")),
+            };
+            match p {
+                BindPred::True => Prepared::True,
+                BindPred::Cmp { left, op, right } => {
+                    Prepared::Cmp { left: slot(left), op: *op, right: slot(right) }
+                }
+                BindPred::And(a, b) => {
+                    Prepared::And(Box::new(prep(a, vars)), Box::new(prep(b, vars)))
+                }
+                BindPred::Or(a, b) => {
+                    Prepared::Or(Box::new(prep(a, vars)), Box::new(prep(b, vars)))
+                }
+                BindPred::Not(a) => Prepared::Not(Box::new(prep(a, vars))),
+            }
+        }
+        let vars = pred.vars();
+        let node = prep(pred, &vars);
+        PreparedPred { vars, node }
+    }
+
+    /// The predicate's variables; slot `i` holds the value of `vars()[i]`.
+    pub fn vars(&self) -> &[Var] {
+        &self.vars
+    }
+
+    /// Evaluate with `value(i)` the value of slot `i`, with the semantics
+    /// of [`BindPred::eval`]: a missing value makes its comparison false.
+    pub fn eval<'a>(&'a self, value: &impl Fn(usize) -> Option<&'a Tree>) -> bool {
+        fn go<'a>(p: &'a Prepared, value: &impl Fn(usize) -> Option<&'a Tree>) -> bool {
+            let operand = |s: &'a Slot| match s {
+                Slot::Var(i) => value(*i),
+                Slot::Lit(t) => Some(t),
+            };
+            match p {
+                Prepared::True => true,
+                Prepared::Cmp { left, op, right } => match (operand(left), operand(right)) {
+                    (Some(a), Some(b)) => value_cmp(a, *op, b),
+                    _ => false,
+                },
+                Prepared::And(a, b) => go(a, value) && go(b, value),
+                Prepared::Or(a, b) => go(a, value) || go(b, value),
+                Prepared::Not(a) => !go(a, value),
+            }
+        }
+        go(&self.node, value)
     }
 }
 
@@ -250,6 +333,30 @@ mod tests {
             right: PredOperand::Int(91000),
         };
         assert!(p.eval(&lookup));
+    }
+
+    #[test]
+    fn prepared_predicates_agree_with_bind_pred() {
+        let vals = [t("91220"), t("zip[91223]"), t("El Cajon")];
+        let names = ["V1", "V2", "V3"];
+        let lookup = |v: &Var| names.iter().position(|n| *n == v.name()).map(|i| &vals[i]);
+        let lit = |o: PredOperand, op, r: PredOperand| BindPred::Cmp { left: o, op, right: r };
+        let var = |n: &str| PredOperand::Var(Var::new(n));
+        let preds = [
+            BindPred::var_eq("V1", "V2"),
+            lit(var("V2"), CmpOp::Gt, PredOperand::Int(91220)),
+            lit(PredOperand::Str("Del Mar".into()), CmpOp::Lt, var("V3")),
+            BindPred::Not(Box::new(BindPred::var_eq("V1", "MISSING"))),
+            BindPred::Or(
+                Box::new(BindPred::var_eq("V3", "V1")),
+                Box::new(lit(var("V1"), CmpOp::Le, var("V2")).and(BindPred::True)),
+            ),
+        ];
+        for p in &preds {
+            let prepared = PreparedPred::new(p);
+            let by_slot = |i: usize| lookup(&prepared.vars()[i]);
+            assert_eq!(prepared.eval(&by_slot), p.eval(&lookup), "{p}");
+        }
     }
 
     #[test]

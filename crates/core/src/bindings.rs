@@ -11,15 +11,14 @@
 //! binding never invalidates earlier ones.
 
 use crate::handle::{BData, BHandle, VData, VNode};
-use crate::matchcur::{Frame, MatchCursor};
-use crate::ops::{JoinCacheEntry, OpState};
+use crate::matchcur::MatchCursor;
+use crate::ops::{JoinCacheEntry, JoinPred, OpState, PredVals};
 use crate::Engine;
 use mix_algebra::pred::value_ord;
-use mix_algebra::{BindPred, PlanId};
+use mix_algebra::{PlanId, PreparedPred};
 use mix_buffer::TraceKind;
-use mix_xmas::Var;
+use mix_xmas::{Dfa, Var};
 use mix_xml::Tree;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Separator for composite group/difference keys; labels are
@@ -30,7 +29,7 @@ const KEY_SEP: char = '\u{1f}';
 /// content parses as an integer, textual otherwise (structural equality
 /// implies text equality, so this never splits equal values).
 fn eq_key(t: &Tree) -> String {
-    let text = t.text();
+    let text = t.text_cow();
     match text.trim().parse::<i64>() {
         Ok(n) => format!("#i{n}"),
         Err(_) => format!("#s{text}"),
@@ -134,24 +133,7 @@ impl Engine {
                     return Some(BHandle::new(BData::Group { first, first_idx: None }));
                 }
                 if self.config.group_cache {
-                    if let OpState::GroupBy { cache, .. } = self.op(op) {
-                        if let Some(&(_, idx)) = cache.groups.first() {
-                            let h = cache.scanned[idx].1.clone();
-                            return Some(BHandle::new(BData::Group {
-                                first: Some(h),
-                                first_idx: Some(idx),
-                            }));
-                        }
-                    }
-                    self.discover_next_group(op).map(|idx| {
-                        let OpState::GroupBy { cache, .. } = self.op(op) else {
-                            unreachable!()
-                        };
-                        BHandle::new(BData::Group {
-                            first: Some(cache.scanned[idx].1.clone()),
-                            first_idx: Some(idx),
-                        })
-                    })
+                    self.group_at(op, 0)
                 } else {
                     // Uncached: the first input binding always opens the
                     // first group.
@@ -212,13 +194,12 @@ impl Engine {
                 let BData::GetDesc { input: ib, cursor } = &*b.0 else {
                     unreachable!("getDescendants handle")
                 };
-                let (ib, cursor) = (ib.clone(), cursor.clone());
                 // Next match within the same input binding…
-                if let Some(next) = self.gd_advance(op, &ib, &cursor) {
-                    return Some(BHandle::new(BData::GetDesc { input: ib, cursor: next }));
+                if let Some(next) = self.gd_advance(op, ib, cursor) {
+                    return Some(BHandle::new(BData::GetDesc { input: ib.clone(), cursor: next }));
                 }
                 // …or the first match of a later input binding.
-                let mut next_ib = self.next_binding(input, &ib);
+                let mut next_ib = self.next_binding(input, ib);
                 while let Some(nb) = next_ib {
                     if let Some(cursor) = self.gd_start(op, &nb) {
                         return Some(BHandle::new(BData::GetDesc { input: nb, cursor }));
@@ -232,7 +213,7 @@ impl Engine {
                 let BData::Filtered { input: inner } = &*b.0 else {
                     unreachable!("select handle")
                 };
-                let start = self.next_binding(input, &inner.clone());
+                let start = self.next_binding(input, inner);
                 self.select_scan(op, input, &pred, start)
             }
             OpState::Join { left, right, .. } => {
@@ -240,14 +221,13 @@ impl Engine {
                 let BData::Pair { left: l, right: r, ridx } = &*b.0 else {
                     unreachable!("join handle")
                 };
-                let (l, r, ridx) = (l.clone(), r.clone(), *ridx);
                 // Resume the inner scan past the current inner binding…
                 let resume = if self.config.join_cache { None } else { Some(r) };
-                if let Some(pair) = self.join_scan(op, &l, ridx + 1, resume) {
+                if let Some(pair) = self.join_scan(op, l, ridx + 1, resume) {
                     return Some(pair);
                 }
                 // …then restart it for later outer bindings.
-                let mut lb = self.next_binding(left, &l);
+                let mut lb = self.next_binding(left, l);
                 while let Some(nl) = lb {
                     if let Some(pair) = self.join_scan(op, &nl, 0, None) {
                         return Some(pair);
@@ -262,11 +242,10 @@ impl Engine {
                 let BData::Pair { left: l, right: r, .. } = &*b.0 else {
                     unreachable!("cross handle")
                 };
-                let (l, r) = (l.clone(), r.clone());
-                if let Some(nr) = self.next_binding(right, &r) {
-                    return Some(BHandle::new(BData::Pair { left: l, right: nr, ridx: 0 }));
+                if let Some(nr) = self.next_binding(right, r) {
+                    return Some(BHandle::new(BData::Pair { left: l.clone(), right: nr, ridx: 0 }));
                 }
-                let nl = self.next_binding(left, &l)?;
+                let nl = self.next_binding(left, l)?;
                 let r0 = self.first_binding(right)?;
                 Some(BHandle::new(BData::Pair { left: nl, right: r0, ridx: 0 }))
             }
@@ -275,16 +254,15 @@ impl Engine {
                 let BData::Tagged { side, inner } = &*b.0 else {
                     unreachable!("union handle")
                 };
-                let (side, inner) = (*side, inner.clone());
-                if side == 0 {
-                    if let Some(n) = self.next_binding(left, &inner) {
+                if *side == 0 {
+                    if let Some(n) = self.next_binding(left, inner) {
                         return Some(BHandle::new(BData::Tagged { side: 0, inner: n }));
                     }
                     return self
                         .first_binding(right)
                         .map(|r| BHandle::new(BData::Tagged { side: 1, inner: r }));
                 }
-                self.next_binding(right, &inner)
+                self.next_binding(right, inner)
                     .map(|n| BHandle::new(BData::Tagged { side: 1, inner: n }))
             }
             OpState::Difference { left, .. } => {
@@ -292,7 +270,7 @@ impl Engine {
                 let BData::Through { inner } = &*b.0 else {
                     unreachable!("difference handle")
                 };
-                let start = self.next_binding(left, &inner.clone());
+                let start = self.next_binding(left, inner);
                 self.difference_scan(op, left, start)
             }
             OpState::Project { input, .. }
@@ -304,7 +282,7 @@ impl Engine {
                 let BData::Through { inner } = &*b.0 else {
                     unreachable!("pass-through handle")
                 };
-                let n = self.next_binding(input, &inner.clone())?;
+                let n = self.next_binding(input, inner)?;
                 Some(BHandle::new(BData::Through { inner: n }))
             }
             OpState::GroupBy { group, .. } => {
@@ -314,19 +292,13 @@ impl Engine {
                 let BData::Group { first: Some(first), first_idx } = &*b.0 else {
                     unreachable!("groupBy handle")
                 };
-                let (first, first_idx) = (first.clone(), *first_idx);
-                match (self.config.group_cache, first_idx) {
-                    (true, Some(idx)) => self.next_group_cached(op, idx).map(|nidx| {
-                        let OpState::GroupBy { cache, .. } = self.op(op) else {
-                            unreachable!()
-                        };
-                        BHandle::new(BData::Group {
-                            first: Some(cache.scanned[nidx].1.clone()),
-                            first_idx: Some(nidx),
-                        })
-                    }),
+                match (self.config.group_cache, *first_idx) {
+                    (true, Some(idx)) => {
+                        let g = self.group_of(op, idx);
+                        self.group_at(op, g as usize + 1)
+                    }
                     _ => self
-                        .next_group_uncached(op, &first)
+                        .next_group_uncached(op, first)
                         .map(|h| BHandle::new(BData::Group { first: Some(h), first_idx: None })),
                 }
             }
@@ -359,9 +331,19 @@ impl Engine {
     /// Jump to the value of variable `var` in binding `b` of operator
     /// `op` (Appendix A's `b.H` command).
     pub(crate) fn attr(&mut self, op: PlanId, b: &BHandle, var: &Var) -> VNode {
-        // Attribute jumps keep `op` on the attribution stack (they can
-        // trigger source navigation) but are not enumeration calls, so
-        // they don't count toward calls/produced.
+        self.attr_framed(op, var, |e| e.attr_inner(op, b, var))
+    }
+
+    /// Run `jump`, an attribute jump to `var` on `op`'s output. Attribute
+    /// jumps keep `op` on the attribution stack (they can trigger source
+    /// navigation) but are not enumeration calls, so they don't count
+    /// toward calls/produced.
+    fn attr_framed(
+        &mut self,
+        op: PlanId,
+        var: &Var,
+        jump: impl FnOnce(&mut Self) -> VNode,
+    ) -> VNode {
         let metered = self.metrics_on();
         if metered {
             self.op_stack.push(op.index() as u32);
@@ -372,7 +354,7 @@ impl Engine {
                 TraceKind::AttrJump { op: self.op(op).kind_name(), var: var.to_string() },
             );
         }
-        let out = self.attr_inner(op, b, var);
+        let out = jump(self);
         if metered {
             self.op_stack.pop();
         }
@@ -381,22 +363,20 @@ impl Engine {
 
     fn attr_inner(&mut self, op: PlanId, b: &BHandle, var: &Var) -> VNode {
         match self.op(op) {
-            OpState::Source { src, out } => {
+            OpState::Source { out, doc, .. } => {
                 debug_assert_eq!(var, out, "source binds exactly one variable");
-                VNode::new(VData::SrcDoc { src: *src })
+                doc.clone()
             }
             OpState::GetDesc { input, out, .. } => {
-                let (input, out) = (*input, out.clone());
+                let (input, is_out) = (*input, var == out);
                 let BData::GetDesc { input: ib, cursor } = &*b.0 else {
                     unreachable!("getDescendants handle")
                 };
-                if *var == out {
-                    let (ib, cursor) = (ib.clone(), cursor.clone());
-                    let root = self.gd_parent_value(op, &ib);
-                    cursor.current(&root)
+                if is_out {
+                    let root = self.gd_parent_value(op, ib);
+                    cursor.current(&root).clone()
                 } else {
-                    let ib = ib.clone();
-                    self.attr(input, &ib, var)
+                    self.attr(input, ib, var)
                 }
             }
             OpState::Select { input, .. } => {
@@ -404,20 +384,18 @@ impl Engine {
                 let BData::Filtered { input: inner } = &*b.0 else {
                     unreachable!("select handle")
                 };
-                let inner = inner.clone();
-                self.attr(input, &inner, var)
+                self.attr(input, inner, var)
             }
             OpState::Join { left, right, left_schema, .. }
             | OpState::Cross { left, right, left_schema } => {
-                let (left, right, ls) = (*left, *right, left_schema.clone());
+                let (left, right, on_left) = (*left, *right, left_schema.contains(var));
                 let BData::Pair { left: l, right: r, .. } = &*b.0 else {
                     unreachable!("join/cross handle")
                 };
-                let (l, r) = (l.clone(), r.clone());
-                if ls.contains(var) {
-                    self.attr(left, &l, var)
+                if on_left {
+                    self.attr(left, l, var)
                 } else {
-                    self.attr(right, &r, var)
+                    self.attr(right, r, var)
                 }
             }
             OpState::Union { left, right } => {
@@ -425,16 +403,14 @@ impl Engine {
                 let BData::Tagged { side, inner } = &*b.0 else {
                     unreachable!("union handle")
                 };
-                let (side, inner) = (*side, inner.clone());
-                self.attr(if side == 0 { left } else { right }, &inner, var)
+                self.attr(if *side == 0 { left } else { right }, inner, var)
             }
             OpState::Difference { left, .. } => {
                 let left = *left;
                 let BData::Through { inner } = &*b.0 else {
                     unreachable!("difference handle")
                 };
-                let inner = inner.clone();
-                self.attr(left, &inner, var)
+                self.attr(left, inner, var)
             }
             OpState::Project { input, keep } => {
                 assert!(keep.contains(var), "projected-away variable {var}");
@@ -442,8 +418,7 @@ impl Engine {
                 let BData::Through { inner } = &*b.0 else {
                     unreachable!("project handle")
                 };
-                let inner = inner.clone();
-                self.attr(input, &inner, var)
+                self.attr(input, inner, var)
             }
             OpState::GroupBy { input, items, .. } => {
                 let input = *input;
@@ -454,9 +429,9 @@ impl Engine {
                     unreachable!("groupBy handle")
                 };
                 let first = first
-                    .clone()
+                    .as_ref()
                     .expect("group variables exist only when groups are non-synthetic");
-                self.attr(input, &first, var)
+                self.attr(input, first, var)
             }
             OpState::Concat { input, out, .. } => {
                 let input = *input;
@@ -466,8 +441,7 @@ impl Engine {
                 let BData::Through { inner } = &*b.0 else {
                     unreachable!("concatenate handle")
                 };
-                let inner = inner.clone();
-                self.attr(input, &inner, var)
+                self.attr(input, inner, var)
             }
             OpState::Create { input, out, .. } => {
                 let input = *input;
@@ -477,8 +451,7 @@ impl Engine {
                 let BData::Through { inner } = &*b.0 else {
                     unreachable!("createElement handle")
                 };
-                let inner = inner.clone();
-                self.attr(input, &inner, var)
+                self.attr(input, inner, var)
             }
             OpState::Constant { input, doc, out } => {
                 let input = *input;
@@ -490,27 +463,21 @@ impl Engine {
                 let BData::Through { inner } = &*b.0 else {
                     unreachable!("constant handle")
                 };
-                let inner = inner.clone();
-                self.attr(input, &inner, var)
+                self.attr(input, inner, var)
             }
             OpState::Wrap { input, var: wrapped, out } => {
                 let (input, wrapped) = (*input, wrapped.clone());
+                let BData::Through { inner } = &*b.0 else { unreachable!("wrap handle") };
                 if var == out {
                     // `wrap` yields the value itself when it is already a
                     // list, else the synthesized singleton list.
-                    let BData::Through { inner } = &*b.0 else {
-                        unreachable!("wrap handle")
-                    };
-                    let inner = inner.clone();
-                    let value = self.attr(input, &inner, &wrapped);
+                    let value = self.attr(input, inner, &wrapped);
                     if self.val_fetch(&value) == mix_xml::Label::list() {
                         return value;
                     }
                     return VNode::new(VData::WrapList { op, b: b.clone() });
                 }
-                let BData::Through { inner } = &*b.0 else { unreachable!("wrap handle") };
-                let inner = inner.clone();
-                self.attr(input, &inner, var)
+                self.attr(input, inner, var)
             }
             OpState::OrderBy { input, sorted, .. } => {
                 let input = *input;
@@ -574,33 +541,60 @@ impl Engine {
         &mut self,
         op: PlanId,
         input: PlanId,
-        pred: &BindPred,
+        pred: &PreparedPred,
         start: Option<BHandle>,
     ) -> Option<BHandle> {
         let mut cur = start;
         while let Some(ib) = cur {
-            let cand = BHandle::new(BData::Filtered { input: ib.clone() });
-            if self.eval_pred(op, &cand, pred) {
-                return Some(cand);
+            if self.eval_pred(op, input, &ib, pred) {
+                return Some(BHandle::new(BData::Filtered { input: ib }));
             }
             cur = self.next_binding(input, &ib);
         }
         None
     }
 
-    /// Evaluate a predicate by materializing the values of its variables
-    /// through attribute jumps on the candidate binding.
-    pub(crate) fn eval_pred(&mut self, op: PlanId, cand: &BHandle, pred: &BindPred) -> bool {
-        let mut vals: HashMap<Var, Tree> = HashMap::new();
+    /// Evaluate select `op`'s predicate on input binding `ib`, materializing
+    /// the values of its variables through attribute jumps. Each jump runs
+    /// as a jump on the select's own candidate binding — `op` stays on the
+    /// attribution stack — but the candidate's handle is only allocated
+    /// once the predicate holds.
+    fn eval_pred(
+        &mut self,
+        op: PlanId,
+        input: PlanId,
+        ib: &BHandle,
+        pred: &PreparedPred,
+    ) -> bool {
+        let mut vals = Vec::with_capacity(pred.vars().len());
         for v in pred.vars() {
-            let node = self.attr(op, cand, &v);
-            let t = self.materialize_value(&node);
-            vals.insert(v, t);
+            let node = self.attr_framed(op, v, |e| e.attr(input, ib, v));
+            vals.push(self.materialize_value(&node));
         }
-        pred.eval(&|v: &Var| vals.get(v))
+        pred.eval(&|i| vals.get(i))
     }
 
     // ---- join -----------------------------------------------------------
+
+    /// Materialize the join predicate's values for binding `b` of input
+    /// `side`: the outer side's slots when `outer`, else the inner side's.
+    /// The other side's slots stay `None`.
+    fn join_side_values(
+        &mut self,
+        side: PlanId,
+        b: &BHandle,
+        jp: &JoinPred,
+        outer: bool,
+    ) -> PredVals {
+        let mut vals = Vec::with_capacity(jp.on_left.len());
+        for (v, &on_left) in jp.pred.vars().iter().zip(&jp.on_left) {
+            vals.push((on_left == outer).then(|| {
+                let node = self.attr(side, b, v);
+                self.materialize_value(&node)
+            }));
+        }
+        vals
+    }
 
     /// Find the next inner binding (at cache index ≥ `from_idx`, or — in
     /// uncached mode — after handle `resume`) that joins with outer
@@ -610,65 +604,49 @@ impl Engine {
         op: PlanId,
         l: &BHandle,
         from_idx: usize,
-        resume: Option<BHandle>,
+        resume: Option<&BHandle>,
     ) -> Option<BHandle> {
-        let OpState::Join { right, pred, left_schema, .. } = self.op(op) else {
+        let OpState::Join { left, right, pred, .. } = self.op(op) else {
             unreachable!("join op")
         };
-        let (right, pred, left_schema) = (*right, pred.clone(), left_schema.clone());
+        let (left, right, jp) = (*left, *right, pred.clone());
 
         // Materialize the outer side's predicate values once per outer
         // binding.
-        let mut left_vals: HashMap<Var, Tree> = HashMap::new();
-        for v in pred.vars() {
-            if left_schema.contains(&v) {
-                let node = self.attr_on_left_of_pair(op, l, &v);
-                let t = self.materialize_value(&node);
-                left_vals.insert(v, t);
-            }
-        }
+        let left_vals = self.join_side_values(left, l, &jp, true);
 
         if self.config.join_cache {
             // Hash-join fast path: for pure equi-joins, consult the
             // equality index instead of scanning every cached entry.
             if self.config.hash_join {
-                let OpState::Join { eq_keys, .. } = self.op(op) else { unreachable!() };
-                if let Some((lk, _)) = eq_keys.clone() {
-                    let key =
-                        eq_key(left_vals.get(&lk).expect("outer key materialized above"));
+                if let Some((lk, _)) = jp.eq_slots {
+                    let key = eq_key(left_vals[lk].as_ref().expect("outer key materialized above"));
                     return self.join_scan_hashed(op, l, from_idx, &key);
                 }
             }
             let mut idx = from_idx;
-            loop {
-                let entry = self.join_cache_entry(op, idx)?;
-                let rv = entry.1;
-                let ok = pred.eval(&|v: &Var| left_vals.get(v).or_else(|| rv.get(v)));
-                if ok {
+            while self.join_cache_fill(op, idx) {
+                let OpState::Join { cache, .. } = self.op(op) else { unreachable!() };
+                let entry = &cache.entries[idx];
+                let rv = &entry.pred_vals;
+                if jp.pred.eval(&|i| left_vals[i].as_ref().or(rv[i].as_ref())) {
                     return Some(BHandle::new(BData::Pair {
                         left: l.clone(),
-                        right: entry.0,
+                        right: entry.handle.clone(),
                         ridx: idx,
                     }));
                 }
                 idx += 1;
             }
+            None
         } else {
             let mut cur = match resume {
-                Some(r) => self.next_binding(right, &r),
+                Some(r) => self.next_binding(right, r),
                 None => self.first_binding(right),
             };
             while let Some(r) = cur {
-                let mut right_vals: HashMap<Var, Tree> = HashMap::new();
-                for v in pred.vars() {
-                    if !left_schema.contains(&v) {
-                        let node = self.attr(right, &r, &v);
-                        let t = self.materialize_value(&node);
-                        right_vals.insert(v, t);
-                    }
-                }
-                let ok = pred.eval(&|v: &Var| left_vals.get(v).or_else(|| right_vals.get(v)));
-                if ok {
+                let right_vals = self.join_side_values(right, &r, &jp, false);
+                if jp.pred.eval(&|i| left_vals[i].as_ref().or(right_vals[i].as_ref())) {
                     return Some(BHandle::new(BData::Pair {
                         left: l.clone(),
                         right: r,
@@ -679,14 +657,6 @@ impl Engine {
             }
             None
         }
-    }
-
-    /// Attribute jump into the outer (left) half of a join before the pair
-    /// handle exists.
-    fn attr_on_left_of_pair(&mut self, op: PlanId, l: &BHandle, var: &Var) -> VNode {
-        let OpState::Join { left, .. } = self.op(op) else { unreachable!("join op") };
-        let left = *left;
-        self.attr(left, l, var)
     }
 
     /// Equality-indexed variant of the inner scan: the next cached entry
@@ -700,95 +670,63 @@ impl Engine {
         key: &str,
     ) -> Option<BHandle> {
         loop {
-            {
-                let OpState::Join { cache, .. } = self.op(op) else { unreachable!() };
-                if let Some(hits) = cache.index.get(key) {
-                    // Entries are appended in order, so the list is sorted;
-                    // find the first hit at index ≥ from_idx.
-                    let p = hits.binary_search(&from_idx).unwrap_or_else(|p| p);
-                    if let Some(&idx) = hits.get(p) {
-                        let h = cache.entries[idx].handle.clone();
-                        return Some(BHandle::new(BData::Pair {
-                            left: l.clone(),
-                            right: h,
-                            ridx: idx,
-                        }));
-                    }
+            let OpState::Join { cache, .. } = self.op(op) else { unreachable!() };
+            if let Some(hits) = cache.index.get(key) {
+                // Entries are appended in order, so the list is sorted;
+                // find the first hit at index ≥ from_idx.
+                let p = hits.binary_search(&from_idx).unwrap_or_else(|p| p);
+                if let Some(&idx) = hits.get(p) {
+                    let h = cache.entries[idx].handle.clone();
+                    return Some(BHandle::new(BData::Pair {
+                        left: l.clone(),
+                        right: h,
+                        ridx: idx,
+                    }));
                 }
-                if cache.complete {
-                    return None;
-                }
-            }
-            // Pull one more inner entry into the cache+index and retry.
-            let next_idx = {
-                let OpState::Join { cache, .. } = self.op(op) else { unreachable!() };
-                cache.entries.len()
-            };
-            if self.join_cache_entry(op, next_idx).is_none() {
-                // Exhausted: the loop re-checks `complete` and returns.
-            }
-        }
-    }
-
-    /// The `idx`-th inner binding with its cached predicate values,
-    /// extending the cache as needed.
-    fn join_cache_entry(
-        &mut self,
-        op: PlanId,
-        idx: usize,
-    ) -> Option<(BHandle, Arc<HashMap<Var, Tree>>)> {
-        loop {
-            let OpState::Join { cache, right, right_pred_vars, .. } = self.op(op) else {
-                unreachable!("join op")
-            };
-            if idx < cache.entries.len() {
-                let e = &cache.entries[idx];
-                return Some((e.handle.clone(), e.pred_vals.clone()));
             }
             if cache.complete {
                 return None;
             }
-            let right = *right;
-            let pred_vars = right_pred_vars.clone();
+            // Pull one more inner entry into the cache+index and retry.
+            let next_idx = cache.entries.len();
+            self.join_cache_fill(op, next_idx);
+        }
+    }
+
+    /// Make sure the inner cache holds entry `idx` — an inner binding with
+    /// its predicate values — pulling inner bindings as needed; `false`
+    /// when the inner input ends first.
+    fn join_cache_fill(&mut self, op: PlanId, idx: usize) -> bool {
+        loop {
+            let OpState::Join { cache, right, pred, .. } = self.op(op) else {
+                unreachable!("join op")
+            };
+            if idx < cache.entries.len() {
+                return true;
+            }
+            if cache.complete {
+                return false;
+            }
+            let (right, jp) = (*right, pred.clone());
             let last = cache.entries.last().map(|e| e.handle.clone());
             // Pull one more inner binding.
             let next = match &last {
                 Some(h) => self.next_binding(right, h),
                 None => self.first_binding(right),
             };
-            match next {
-                None => {
-                    let OpState::Join { cache, .. } = self.op_mut(op) else { unreachable!() };
-                    cache.complete = true;
-                    return None;
-                }
-                Some(h) => {
-                    let mut vals = HashMap::new();
-                    for v in &pred_vars {
-                        let node = self.attr(right, &h, v);
-                        let t = self.materialize_value(&node);
-                        vals.insert(v.clone(), t);
-                    }
-                    let index_key = {
-                        let OpState::Join { eq_keys, .. } = self.op(op) else {
-                            unreachable!()
-                        };
-                        eq_keys
-                            .as_ref()
-                            .and_then(|(_, rk)| vals.get(rk))
-                            .map(eq_key)
-                    };
-                    let OpState::Join { cache, .. } = self.op_mut(op) else { unreachable!() };
-                    let idx = cache.entries.len();
-                    if let Some(k) = index_key {
-                        cache.index.entry(k).or_default().push(idx);
-                    }
-                    cache.entries.push(JoinCacheEntry {
-                        handle: h,
-                        pred_vals: Arc::new(vals),
-                    });
-                }
+            let Some(h) = next else {
+                let OpState::Join { cache, .. } = self.op_mut(op) else { unreachable!() };
+                cache.complete = true;
+                return false;
+            };
+            let vals = self.join_side_values(right, &h, &jp, false);
+            let index_key = jp.eq_slots.and_then(|(_, rk)| vals[rk].as_ref()).map(eq_key);
+            let OpState::Join { cache, .. } = self.op_mut(op) else { unreachable!() };
+            let idx = cache.entries.len();
+            if let Some(k) = index_key {
+                cache.index.entry(k).or_default().push(idx);
             }
+            cache.entries.push(JoinCacheEntry { handle: h, pred_vals: vals });
         }
     }
 
@@ -865,17 +803,19 @@ impl Engine {
         self.binding_key(input, ib, &group)
     }
 
-    /// The `idx`-th entry of the groupBy's shared input scan, extending
-    /// the scan (and computing each binding's key exactly once) as needed.
-    /// Cached mode only.
-    pub(crate) fn scanned_entry(&mut self, op: PlanId, idx: usize) -> Option<(String, BHandle)> {
+    /// The `idx`-th entry of the groupBy's shared input scan — the index
+    /// of its binding's group, and the binding — extending the scan as
+    /// needed. Each binding's key is computed exactly once, when the scan
+    /// passes over it, and a key seen for the first time opens the next
+    /// group. Cached mode only.
+    pub(crate) fn scanned_entry(&mut self, op: PlanId, idx: usize) -> Option<(u32, BHandle)> {
         loop {
             let OpState::GroupBy { input, cache, .. } = self.op(op) else {
                 unreachable!("groupBy op")
             };
             let input = *input;
-            if let Some((k, h)) = cache.scanned.get(idx) {
-                return Some((k.clone(), h.clone()));
+            if let Some((g, h)) = cache.scanned.get(idx) {
+                return Some((*g, h.clone()));
             }
             if cache.exhausted {
                 return None;
@@ -893,47 +833,37 @@ impl Engine {
             };
             let key = self.group_key_of(op, &ib);
             let OpState::GroupBy { cache, .. } = self.op_mut(op) else { unreachable!() };
-            cache.scanned.push((key, ib));
+            let fresh = cache.groups.len() as u32;
+            let g = *cache.seen.entry(key).or_insert(fresh);
+            if g == fresh {
+                cache.groups.push(cache.scanned.len());
+            }
+            cache.scanned.push((g, ib));
         }
     }
 
-    /// Scan for the next not-yet-seen group; returns the index (into the
-    /// shared scan) of its first binding. Cached mode only.
-    fn discover_next_group(&mut self, op: PlanId) -> Option<usize> {
-        let mut probe = {
+    /// Index of the group of the binding at scan index `idx` (already
+    /// scanned). Cached mode only.
+    pub(crate) fn group_of(&self, op: PlanId, idx: usize) -> u32 {
+        let OpState::GroupBy { cache, .. } = self.op(op) else { unreachable!("groupBy op") };
+        cache.scanned[idx].0
+    }
+
+    /// Handle of the `g`-th group, scanning the input until the scan meets
+    /// its key or ends. Cached mode only.
+    fn group_at(&mut self, op: PlanId, g: usize) -> Option<BHandle> {
+        loop {
             let OpState::GroupBy { cache, .. } = self.op(op) else {
                 unreachable!("groupBy op")
             };
-            cache.discovered_upto
-        };
-        loop {
-            let (key, _h) = self.scanned_entry(op, probe)?;
-            let OpState::GroupBy { cache, .. } = self.op_mut(op) else { unreachable!() };
-            cache.discovered_upto = probe + 1;
-            if cache.seen.insert(key.clone()) {
-                cache.groups.push((key, probe));
-                return Some(probe);
+            if let Some(&idx) = cache.groups.get(g) {
+                return Some(BHandle::new(BData::Group {
+                    first: Some(cache.scanned[idx].1.clone()),
+                    first_idx: Some(idx),
+                }));
             }
-            probe += 1;
-        }
-    }
-
-    /// Next group after the one whose first binding sits at scan index
-    /// `idx` (cached mode).
-    fn next_group_cached(&mut self, op: PlanId, idx: usize) -> Option<usize> {
-        let pos = {
-            let OpState::GroupBy { cache, .. } = self.op(op) else { unreachable!() };
-            cache.groups.iter().position(|&(_, i)| i == idx)
-        };
-        match pos {
-            Some(p) => {
-                let OpState::GroupBy { cache, .. } = self.op(op) else { unreachable!() };
-                if p + 1 < cache.groups.len() {
-                    return Some(cache.groups[p + 1].1);
-                }
-                self.discover_next_group(op)
-            }
-            None => self.discover_next_group(op),
+            let next = cache.scanned.len();
+            self.scanned_entry(op, next)?;
         }
     }
 
@@ -961,18 +891,18 @@ impl Engine {
         None
     }
 
-    /// Next input binding after scan index `ib_idx` belonging to the group
-    /// keyed `gb_key` (Fig. 10's `next(p_b, p_g)`), via the shared scan.
+    /// Next input binding after scan index `ib_idx` belonging to group `g`
+    /// (Fig. 10's `next(p_b, p_g)`), via the shared scan.
     pub(crate) fn next_group_member_cached(
         &mut self,
         op: PlanId,
-        gb_key: &str,
+        g: u32,
         ib_idx: usize,
     ) -> Option<(usize, BHandle)> {
         let mut idx = ib_idx + 1;
         loop {
-            let (key, h) = self.scanned_entry(op, idx)?;
-            if key == gb_key {
+            let (group, h) = self.scanned_entry(op, idx)?;
+            if group == g {
                 return Some((idx, h));
             }
             idx += 1;
@@ -1045,109 +975,85 @@ impl Engine {
         self.attr(input, ib, &parent)
     }
 
+    /// The path automaton of getDescendants `op`.
+    fn gd_dfa(&mut self, op: PlanId) -> &mut Dfa {
+        let OpState::GetDesc { dfa, .. } = self.op_mut(op) else {
+            unreachable!("getDescendants op")
+        };
+        dfa
+    }
+
     /// Position a fresh cursor on the first match under input binding
     /// `ib`, or `None` when the subtree holds no match.
     fn gd_start(&mut self, op: PlanId, ib: &BHandle) -> Option<MatchCursor> {
-        let OpState::GetDesc { nfa, start_set, .. } = self.op(op) else {
-            unreachable!("getDescendants op")
-        };
-        let (nfa, start_set) = (nfa.clone(), start_set.clone());
         let root = self.gd_parent_value(op, ib);
-        let cursor = MatchCursor::new(Vec::new());
+        let cursor = MatchCursor::default();
         // Zero-step match: the parent itself (paths accepting ε).
-        if cursor.is_match(&nfa, &start_set) {
+        if self.gd_dfa(op).is_accepting(cursor.state()) {
             return Some(cursor);
         }
-        self.gd_next_match(op, &root, cursor)
+        self.gd_next_match(op, &root, &cursor)
     }
 
     /// Advance to the next match after `cursor` (pre-order).
     fn gd_advance(&mut self, op: PlanId, ib: &BHandle, cursor: &MatchCursor) -> Option<MatchCursor> {
         let root = self.gd_parent_value(op, ib);
-        self.gd_next_match(op, &root, cursor.clone())
+        self.gd_next_match(op, &root, cursor)
     }
 
-    /// Advance the DFS to the next accepting position strictly after the
-    /// current one.
+    /// Advance the DFS to the next accepting position strictly after
+    /// `cursor`.
     fn gd_next_match(
         &mut self,
         op: PlanId,
         root: &VNode,
-        mut cursor: MatchCursor,
+        cursor: &MatchCursor,
     ) -> Option<MatchCursor> {
-        let OpState::GetDesc { nfa, start_set, .. } = self.op(op) else {
-            unreachable!("getDescendants op")
-        };
-        let (nfa, start_set) = (nfa.clone(), start_set.clone());
-        loop {
-            cursor = self.gd_step(root, &nfa, &start_set, cursor)?;
-            if cursor.is_match(&nfa, &start_set) {
-                return Some(cursor);
-            }
+        let mut cursor = self.gd_step(op, root, cursor)?;
+        while !self.gd_dfa(op).is_accepting(cursor.state()) {
+            cursor = self.gd_step(op, root, &cursor)?;
         }
+        Some(cursor)
     }
 
     /// One pre-order step of the pruned DFS: descend when the automaton
-    /// can still make progress, else move right, popping as needed.
-    fn gd_step(
-        &mut self,
-        root: &VNode,
-        nfa: &mix_xmas::Nfa,
-        start_set: &mix_xmas::StateSet,
-        cursor: MatchCursor,
-    ) -> Option<MatchCursor> {
-        let mut frames: Vec<Frame> = (*cursor.frames).clone();
+    /// can still make progress, else move right, popping as needed. The
+    /// new position shares every frame above it with `cursor`.
+    fn gd_step(&mut self, op: PlanId, root: &VNode, cursor: &MatchCursor) -> Option<MatchCursor> {
         // Try to descend from the current position.
-        let (cur_node, cur_states) = match frames.last() {
-            Some(f) => (f.node.clone(), f.states.clone()),
-            None => (root.clone(), start_set.clone()),
-        };
-        if nfa.can_continue(&cur_states) {
-            if let Some(child) = self.val_down(&cur_node) {
+        let here = cursor.state();
+        if self.gd_dfa(op).can_continue(here) {
+            if let Some(child) = self.val_down(cursor.current(root)) {
                 let label = self.val_fetch(&child);
-                let states = nfa.step(&cur_states, &label);
-                frames.push(Frame { node: child, states });
-                return Some(MatchCursor::new(frames));
+                let state = self.gd_dfa(op).step(here, &label);
+                return Some(MatchCursor::push(cursor.top.clone(), child, state));
             }
         }
         // Move right, popping exhausted levels. The virtual root level
         // cannot move right (matches live strictly inside `e`).
-        loop {
-            let f = frames.pop()?;
-            let parent_states = match frames.last() {
-                Some(p) => p.states.clone(),
-                None => start_set.clone(),
-            };
+        let mut level = cursor.top.as_deref();
+        while let Some(f) = level {
+            let parent_state = f.parent.as_ref().map_or(Dfa::START, |p| p.state);
             // With select_φ in NC and a label-only frontier, jump straight
             // to the next sibling that can advance the automaton (§2: this
             // is what turns the Example 1 filter view bounded).
             let sib = if self.config.use_select {
-                match nfa.label_frontier(&parent_states) {
-                    Some(labels) if !labels.is_empty() => {
-                        let pred = if labels.len() == 1 {
-                            mix_nav::LabelPred::equals(labels[0].as_str())
-                        } else {
-                            mix_nav::LabelPred::OneOf(
-                                // NFA frontier labels are query constants:
-                                // intern them so the per-sibling compare in
-                                // `val_select` is an integer test.
-                                labels.iter().map(mix_xml::Label::intern).collect(),
-                            )
-                        };
-                        self.val_select(&f.node, &pred)
-                    }
-                    Some(_) => None, // dead frontier: nothing can advance
-                    None => self.val_right(&f.node),
+                let dfa = self.gd_dfa(op);
+                match dfa.can_continue(parent_state).then(|| dfa.frontier(parent_state).cloned()) {
+                    Some(Some(pred)) => self.val_select(&f.node, &pred),
+                    Some(None) => self.val_right(&f.node),
+                    None => None, // dead frontier: nothing can advance
                 }
             } else {
                 self.val_right(&f.node)
             };
             if let Some(sib) = sib {
                 let label = self.val_fetch(&sib);
-                let states = nfa.step(&parent_states, &label);
-                frames.push(Frame { node: sib, states });
-                return Some(MatchCursor::new(frames));
+                let state = self.gd_dfa(op).step(parent_state, &label);
+                return Some(MatchCursor::push(f.parent.clone(), sib, state));
             }
+            level = f.parent.as_deref();
         }
+        None
     }
 }

@@ -9,16 +9,17 @@
 
 use crate::handle::{VData, VNode};
 use crate::metrics::{OpMetrics, NAV_CMDS};
-use crate::ops::OpState;
+use crate::ops::{JoinPred, OpState};
 use crate::registry::{SharedSource, SourceRegistry};
 use crate::EngineError;
-use mix_algebra::{Plan, PlanId, PlanNode, SemanticOutcome, ViewCatalog};
+use mix_algebra::{Plan, PlanId, PlanNode, PreparedPred, SemanticOutcome, ViewCatalog};
 use mix_buffer::{
     lock_unpoisoned, run_parallel, BufferStats, BufferStatsSnapshot, Counter, FragmentCache,
     HealthSnapshot, HealthStatus, MetricsRegistry, MetricsSnapshot, OverlapGauge, SourceHealth,
     TraceKind, TraceSink,
 };
 use mix_nav::{LabelPred, NavCounters, NavStats, Navigator};
+use mix_xmas::{Dfa, Nfa, Var};
 use mix_xml::{Document, Label, Tree};
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -205,15 +206,6 @@ pub struct Engine {
     /// [`ViewCatalog`]).
     semantic: Option<SemanticState>,
 }
-
-/// An attribution snapshot: the operator path (plan indices, outermost
-/// first) captured at the moment a source exchange is issued. The
-/// exchange functions meter from this snapshot instead of the live,
-/// engine-global operator stack, so attribution cannot interleave when
-/// exchanges overlap in time (warm-up workers, prefetch) or complete
-/// after the stack has moved on.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct OpPath(Vec<u32>);
 
 /// A checked navigation's evidence that its answer is partial: the
 /// fallback value the unchecked API would have silently returned, plus the
@@ -688,31 +680,17 @@ impl Engine {
         }
     }
 
-    /// Snapshot the operator path for explicit exchange attribution (see
-    /// [`OpPath`]). Cheap when metrics are off: nothing will be metered,
-    /// so the empty path suffices.
-    pub(crate) fn current_path(&self) -> OpPath {
-        if self.metrics_on() {
-            OpPath(self.op_stack.clone())
-        } else {
-            OpPath::default()
-        }
-    }
-
     /// Attribute one source command: to the `(source, cmd)` series, to
     /// the operator on top of the captured path (self), and to every
     /// distinct operator on it (cumulative). With no operator active —
     /// the client walking inside an already-produced source value — both
-    /// charges fall to the source's own leaf. Attribution reads the
-    /// snapshot `at`, never the live `op_stack`, so an exchange finishing
-    /// after the stack has moved on (or one issued off the enumeration
-    /// path entirely) still charges the operators that caused it.
-    fn meter_src(&self, src: usize, cmd: usize, at: &OpPath) {
+    /// charges fall to the source's own leaf.
+    fn meter_src(&self, src: usize, cmd: usize, at: &[u32]) {
         if !self.metrics_on() {
             return;
         }
         self.sources[src].navs[cmd].inc();
-        match at.0.last() {
+        match at.last() {
             None => {
                 let leaf = &self.op_metrics[self.src_leaf_op[src] as usize];
                 leaf.src_navs.inc();
@@ -720,10 +698,10 @@ impl Engine {
             }
             Some(&top) => {
                 self.op_metrics[top as usize].src_navs.inc();
-                for (i, &op) in at.0.iter().enumerate() {
+                for (i, &op) in at.iter().enumerate() {
                     // Recursive operators (e.g. join re-entering its own
                     // scan) appear more than once; charge cum once each.
-                    if !at.0[..i].contains(&op) {
+                    if !at[..i].contains(&op) {
                         self.op_metrics[op as usize].src_navs_cum.inc();
                     }
                 }
@@ -738,39 +716,40 @@ impl Engine {
         }
     }
 
-    pub(crate) fn src_down(&mut self, src: usize, h: &mix_nav::DynHandle) -> Option<VNode> {
-        let at = self.current_path();
-        self.exchange_down(src, h, &at)
+    // A synchronous source command runs while the operators that caused
+    // it are on the live stack, so it meters against the stack borrowed
+    // in place. The `exchange_*` functions take the path explicitly: an
+    // exchange issued off the enumeration path (one that completes after
+    // the stack has moved on) passes the copy of the stack it took when
+    // it was issued, and that copy, not the live stack, is charged.
+
+    pub(crate) fn src_down(&self, src: usize, h: &mix_nav::DynHandle) -> Option<VNode> {
+        self.exchange_down(src, h, &self.op_stack)
     }
 
-    pub(crate) fn src_right(&mut self, src: usize, h: &mix_nav::DynHandle) -> Option<VNode> {
-        let at = self.current_path();
-        self.exchange_right(src, h, &at)
+    pub(crate) fn src_right(&self, src: usize, h: &mix_nav::DynHandle) -> Option<VNode> {
+        self.exchange_right(src, h, &self.op_stack)
     }
 
-    pub(crate) fn src_fetch(&mut self, src: usize, h: &mix_nav::DynHandle) -> Label {
-        let at = self.current_path();
-        self.exchange_fetch(src, h, &at)
+    pub(crate) fn src_fetch(&self, src: usize, h: &mix_nav::DynHandle) -> Label {
+        self.exchange_fetch(src, h, &self.op_stack)
     }
 
     pub(crate) fn src_select(
-        &mut self,
+        &self,
         src: usize,
         h: &mix_nav::DynHandle,
         pred: &LabelPred,
     ) -> Option<VNode> {
-        let at = self.current_path();
-        self.exchange_select(src, h, pred, &at)
+        self.exchange_select(src, h, pred, &self.op_stack)
     }
 
-    /// `d` on a source with explicit attribution: the captured path `at`
-    /// is charged, regardless of what the live operator stack holds by
-    /// the time the exchange completes.
+    /// `d` on a source, charged to the operator path `at`.
     pub(crate) fn exchange_down(
-        &mut self,
+        &self,
         src: usize,
         h: &mix_nav::DynHandle,
-        at: &OpPath,
+        at: &[u32],
     ) -> Option<VNode> {
         self.trace_src(src, "d");
         self.meter_src(src, 0, at);
@@ -780,12 +759,12 @@ impl Engine {
         Some(VNode::new(VData::Src { src, h: out }))
     }
 
-    /// `r` on a source with explicit attribution.
+    /// `r` on a source, charged to the operator path `at`.
     pub(crate) fn exchange_right(
-        &mut self,
+        &self,
         src: usize,
         h: &mix_nav::DynHandle,
-        at: &OpPath,
+        at: &[u32],
     ) -> Option<VNode> {
         self.trace_src(src, "r");
         self.meter_src(src, 1, at);
@@ -795,12 +774,12 @@ impl Engine {
         Some(VNode::new(VData::Src { src, h: out }))
     }
 
-    /// `f` on a source with explicit attribution.
+    /// `f` on a source, charged to the operator path `at`.
     pub(crate) fn exchange_fetch(
-        &mut self,
+        &self,
         src: usize,
         h: &mix_nav::DynHandle,
-        at: &OpPath,
+        at: &[u32],
     ) -> Label {
         self.trace_src(src, "f");
         self.meter_src(src, 2, at);
@@ -809,13 +788,13 @@ impl Engine {
         lock_unpoisoned(&conn.nav).fetch(h)
     }
 
-    /// `select_φ` on a source with explicit attribution.
+    /// `select_φ` on a source, charged to the operator path `at`.
     pub(crate) fn exchange_select(
-        &mut self,
+        &self,
         src: usize,
         h: &mix_nav::DynHandle,
         pred: &LabelPred,
-        at: &OpPath,
+        at: &[u32],
     ) -> Option<VNode> {
         self.trace_src(src, "s");
         self.meter_src(src, 3, at);
@@ -986,51 +965,49 @@ fn build_op(
                     sources.len() - 1
                 }
             };
-            OpState::Source { src: idx, out: out.clone() }
-        }
-        PlanNode::GetDescendants { input, parent, path, out } => {
-            let nfa = Arc::new(mix_xmas::Nfa::compile(path));
-            let start_set = nfa.start_set();
-            OpState::GetDesc {
-                input: *input,
-                parent: parent.clone(),
+            OpState::Source {
+                src: idx,
                 out: out.clone(),
-                nfa,
-                start_set,
+                doc: VNode::new(VData::SrcDoc { src: idx }),
             }
         }
+        PlanNode::GetDescendants { input, parent, path, out } => OpState::GetDesc {
+            input: *input,
+            parent: parent.clone(),
+            out: out.clone(),
+            dfa: Dfa::new(Nfa::compile(path)),
+        },
         PlanNode::Select { input, pred } => {
-            OpState::Select { input: *input, pred: pred.clone() }
+            OpState::Select { input: *input, pred: Arc::new(PreparedPred::new(pred)) }
         }
         PlanNode::Join { left, right, pred } => {
             let left_schema: HashSet<_> = plan.schema(*left).into_iter().collect();
             let right_schema: HashSet<_> = plan.schema(*right).into_iter().collect();
-            let right_pred_vars: Vec<_> =
-                pred.vars().into_iter().filter(|v| right_schema.contains(v)).collect();
+            let prepared = PreparedPred::new(pred);
+            let slot = |v: &Var| prepared.vars().iter().position(|x| x == v);
             // Hash-joinable shape: a single `=` with one variable per side.
-            let eq_keys = match pred {
+            let eq_slots = match pred {
                 mix_algebra::BindPred::Cmp {
                     left: mix_algebra::PredOperand::Var(a),
                     op: mix_nav::pred::CmpOp::Eq,
                     right: mix_algebra::PredOperand::Var(b),
                 } => {
                     if left_schema.contains(a) && right_schema.contains(b) {
-                        Some((a.clone(), b.clone()))
+                        slot(a).zip(slot(b))
                     } else if left_schema.contains(b) && right_schema.contains(a) {
-                        Some((b.clone(), a.clone()))
+                        slot(b).zip(slot(a))
                     } else {
                         None
                     }
                 }
                 _ => None,
             };
+            let on_left = prepared.vars().iter().map(|v| left_schema.contains(v)).collect();
             OpState::Join {
                 left: *left,
                 right: *right,
-                pred: pred.clone(),
+                pred: Arc::new(JoinPred { pred: prepared, on_left, eq_slots }),
                 left_schema: Arc::new(left_schema),
-                right_pred_vars,
-                eq_keys,
                 cache: Default::default(),
             }
         }
@@ -1155,6 +1132,19 @@ mod concurrency_tests {
     use mix_xmas::parse_query;
     use mix_xml::term::parse_term;
     use std::time::Duration;
+
+    impl Engine {
+        /// Copy the live operator path, as an exchange issued off the
+        /// enumeration path does when it is issued (empty when metrics are
+        /// off: nothing will be metered).
+        fn current_path(&self) -> Vec<u32> {
+            if self.metrics_on() {
+                self.op_stack.clone()
+            } else {
+                Vec::new()
+            }
+        }
+    }
 
     /// Three independent sources crossed under nested groupings — the
     /// full walk must touch every source.

@@ -8,8 +8,8 @@
 //! unbrowsable operators.
 
 use crate::handle::{BHandle, VNode};
-use mix_algebra::{BindPred, GroupItem, PlanId};
-use mix_xmas::{LabelSpec, Nfa, StateSet, Var};
+use mix_algebra::{GroupItem, PlanId, PreparedPred};
+use mix_xmas::{Dfa, LabelSpec, Var};
 use mix_xml::{Document, Tree};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -17,13 +17,27 @@ use std::sync::Arc;
 /// One materialized binding: `(variable, its value as an arena document)`.
 pub(crate) type MatRow = Vec<(Var, Arc<Document>)>;
 
+/// Values of a predicate's variables by slot ([`PreparedPred::vars`]
+/// order); `None` for the slots of the other join side.
+pub(crate) type PredVals = Vec<Option<Tree>>;
+
 /// Cached inner-side entry of a nested-loop join: the binding handle plus
 /// the materialized values of the predicate variables that live on the
 /// inner side ("it stores the binding nodes along with the attributes that
 /// participate in the join condition", §3).
 pub(crate) struct JoinCacheEntry {
     pub handle: BHandle,
-    pub pred_vals: Arc<HashMap<Var, Tree>>,
+    pub pred_vals: PredVals,
+}
+
+/// A join's predicate with its variables sorted onto the two sides.
+pub(crate) struct JoinPred {
+    pub pred: PreparedPred,
+    /// Per slot: does the variable live on the outer (left) side?
+    pub on_left: Vec<bool>,
+    /// `Some((outer slot, inner slot))` when the predicate is a single
+    /// equality spanning the inputs — the hash-joinable shape.
+    pub eq_slots: Option<(usize, usize)>,
 }
 
 /// Inner-side cache of a join.
@@ -45,20 +59,17 @@ pub(crate) struct JoinCache {
 /// into that scan.
 #[derive(Default)]
 pub(crate) struct GroupCache {
-    /// Input bindings in order, each with its group key, recorded the
-    /// first time the scan passes over it.
-    pub scanned: Vec<(String, BHandle)>,
+    /// Input bindings in order, each with the index (into `groups`) of
+    /// its group, recorded the first time the scan passes over it.
+    pub scanned: Vec<(u32, BHandle)>,
     /// The input is fully scanned.
     pub exhausted: bool,
-    /// `(key, index into `scanned` of the group's first binding)` per
-    /// discovered group, in output order.
-    pub groups: Vec<(String, usize)>,
-    /// Keys already seen (`G_prev` of Fig. 10).
-    pub seen: HashSet<String>,
-    /// Scan entries `[0, discovered_upto)` have been classified into
-    /// `groups`/`seen` by group discovery (member scans may extend
-    /// `scanned` further without classifying).
-    pub discovered_upto: usize,
+    /// Index into `scanned` of each group's first binding, in output
+    /// order — the order in which the scan meets the groups' keys.
+    pub groups: Vec<usize>,
+    /// Group key → group index (`G_prev` of Fig. 10); the only copy of
+    /// each key.
+    pub seen: HashMap<String, u32>,
 }
 
 /// Navigation-time state per plan operator.
@@ -67,28 +78,24 @@ pub(crate) enum OpState {
         /// Index into the engine's source table.
         src: usize,
         out: Var,
+        /// The source's virtual document node, the value of `out`.
+        doc: VNode,
     },
     GetDesc {
         input: PlanId,
         parent: Var,
         out: Var,
-        nfa: Arc<Nfa>,
-        start_set: StateSet,
+        dfa: Dfa,
     },
     Select {
         input: PlanId,
-        pred: BindPred,
+        pred: Arc<PreparedPred>,
     },
     Join {
         left: PlanId,
         right: PlanId,
-        pred: BindPred,
+        pred: Arc<JoinPred>,
         left_schema: Arc<HashSet<Var>>,
-        /// Predicate variables that live on the inner (right) side.
-        right_pred_vars: Vec<Var>,
-        /// `Some((outer var, inner var))` when the predicate is a single
-        /// equality spanning the inputs — the hash-joinable shape.
-        eq_keys: Option<(Var, Var)>,
         cache: JoinCache,
     },
     Cross {

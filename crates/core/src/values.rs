@@ -32,43 +32,32 @@ impl Engine {
             // The document node's single child is the source's root
             // element; obtaining that handle is the free `get_root`.
             VData::SrcDoc { src } => Some(self.src_root(*src)),
-            VData::Src { src, h } => {
-                let (src, h) = (*src, h.clone());
-                self.src_down(src, &h)
-            }
+            VData::Src { src, h } => self.src_down(*src, h),
             VData::Const { doc, node } => {
                 let child = doc.down(*node)?;
                 Some(VNode::new(VData::Const { doc: doc.clone(), node: child }))
             }
-            VData::Solo { inner } => self.val_down(&inner.clone()),
+            VData::Solo { inner } => self.val_down(inner),
             VData::WrapList { op, b } => {
                 // list[v]: the single member is the wrapped value, torn
                 // from its original sibling context.
-                let (op, b) = (*op, b.clone());
-                let OpState::Wrap { var, .. } = self.op(op) else { unreachable!("wrap op") };
+                let OpState::Wrap { var, .. } = self.op(*op) else { unreachable!("wrap op") };
                 let var = var.clone();
-                let value = self.attr(op, &b, &var);
+                let value = self.attr(*op, b, &var);
                 Some(VNode::new(VData::Solo { inner: value }))
             }
-            VData::ConcatList { op, b } => {
-                let (op, b) = (*op, b.clone());
-                self.concat_first(op, &b, 0)
-            }
-            VData::ConcatMember { inner, .. } => self.val_down(&inner.clone()),
-            VData::GroupList { op, gb, item } => {
-                let (op, gb, item) = (*op, gb.clone(), *item);
-                self.group_first_member(op, &gb, item)
-            }
-            VData::GroupMember { inner, .. } => self.val_down(&inner.clone()),
+            VData::ConcatList { op, b } => self.concat_first(*op, b, 0),
+            VData::ConcatMember { inner, .. } => self.val_down(inner),
+            VData::GroupList { op, gb, item } => self.group_first_member(*op, gb, *item),
+            VData::GroupMember { inner, .. } => self.val_down(inner),
             VData::Created { op, b } => {
                 // Children of the created element are the subtrees of
                 // bin.ch (Fig. 9, 6th mapping).
-                let (op, b) = (*op, b.clone());
-                let OpState::Create { ch, .. } = self.op(op) else {
+                let OpState::Create { ch, .. } = self.op(*op) else {
                     unreachable!("createElement op")
                 };
                 let ch = ch.clone();
-                let ch_val = self.attr(op, &b, &ch);
+                let ch_val = self.attr(*op, b, &ch);
                 self.val_down(&ch_val)
             }
             VData::ClientRoot => {
@@ -83,10 +72,7 @@ impl Engine {
         match &*v.0 {
             // A document node has no siblings.
             VData::SrcDoc { .. } => None,
-            VData::Src { src, h } => {
-                let (src, h) = (*src, h.clone());
-                self.src_right(src, &h)
-            }
+            VData::Src { src, h } => self.src_right(*src, h),
             VData::Const { doc, node } => {
                 let sib = doc.right(*node)?;
                 Some(VNode::new(VData::Const { doc: doc.clone(), node: sib }))
@@ -101,65 +87,53 @@ impl Engine {
             | VData::Created { .. }
             | VData::ClientRoot => None,
             VData::ConcatMember { op, b, side, from_list, inner } => {
-                let (op, b, side, from_list, inner) =
-                    (*op, b.clone(), *side, *from_list, inner.clone());
-                if from_list {
-                    if let Some(next) = self.val_right(&inner) {
+                if *from_list {
+                    if let Some(next) = self.val_right(inner) {
                         return Some(VNode::new(VData::ConcatMember {
-                            op,
-                            b,
-                            side,
+                            op: *op,
+                            b: b.clone(),
+                            side: *side,
                             from_list: true,
                             inner: next,
                         }));
                     }
                 }
-                if side == 0 {
-                    self.concat_first(op, &b, 1)
+                if *side == 0 {
+                    self.concat_first(*op, b, 1)
                 } else {
                     None
                 }
             }
             VData::GroupMember { op, gb, item, ib, ib_idx, .. } => {
                 // Fig. 10, 8th mapping: ⟨LS, next(p_b, p_g), p_g⟩.
-                let (op, gb, item, ib, ib_idx) =
-                    (*op, gb.clone(), *item, ib.clone(), *ib_idx);
+                let (op, item) = (*op, *item);
                 let BData::Group { first, first_idx } = &*gb.0 else {
                     unreachable!("group handle")
                 };
-                let (first, first_idx) = (first.clone()?, *first_idx);
-                match (ib_idx, first_idx) {
+                let first = first.as_ref()?;
+                let (next_ib, next_idx) = match (*ib_idx, *first_idx) {
                     (Some(i), Some(fi)) => {
-                        // Cached: the group key sits in the shared scan.
-                        let OpState::GroupBy { cache, .. } = self.op(op) else {
-                            unreachable!()
-                        };
-                        let key = cache.scanned[fi].0.clone();
-                        let (ni, nh) = self.next_group_member_cached(op, &key, i)?;
-                        let value = self.group_item_value(op, &nh, item);
-                        Some(VNode::new(VData::GroupMember {
-                            op,
-                            gb,
-                            item,
-                            ib: nh,
-                            ib_idx: Some(ni),
-                            inner: value,
-                        }))
+                        // Cached: the member and the group's first binding
+                        // sit in the shared scan, which records each
+                        // binding's group index.
+                        let g = self.group_of(op, fi);
+                        let (ni, nh) = self.next_group_member_cached(op, g, i)?;
+                        (nh, Some(ni))
                     }
                     _ => {
-                        let key = self.group_key_of(op, &first);
-                        let next_ib = self.next_group_member(op, &key, &ib)?;
-                        let value = self.group_item_value(op, &next_ib, item);
-                        Some(VNode::new(VData::GroupMember {
-                            op,
-                            gb,
-                            item,
-                            ib: next_ib,
-                            ib_idx: None,
-                            inner: value,
-                        }))
+                        let key = self.group_key_of(op, first);
+                        (self.next_group_member(op, &key, ib)?, None)
                     }
-                }
+                };
+                let value = self.group_item_value(op, &next_ib, item);
+                Some(VNode::new(VData::GroupMember {
+                    op,
+                    gb: gb.clone(),
+                    item,
+                    ib: next_ib,
+                    ib_idx: next_idx,
+                    inner: value,
+                }))
             }
         }
     }
@@ -168,32 +142,29 @@ impl Engine {
     pub(crate) fn val_fetch(&mut self, v: &VNode) -> Label {
         match &*v.0 {
             VData::SrcDoc { .. } => Label::new(DOC_LABEL),
-            VData::Src { src, h } => {
-                let (src, h) = (*src, h.clone());
-                self.src_fetch(src, &h)
-            }
+            VData::Src { src, h } => self.src_fetch(*src, h),
             VData::Const { doc, node } => doc.fetch(*node).clone(),
-            VData::Solo { inner } => self.val_fetch(&inner.clone()),
+            VData::Solo { inner } => self.val_fetch(inner),
             // The special `list` label (§3).
             VData::WrapList { .. } | VData::ConcatList { .. } | VData::GroupList { .. } => {
                 Label::list()
             }
             VData::ConcatMember { inner, .. } | VData::GroupMember { inner, .. } => {
-                self.val_fetch(&inner.clone())
+                self.val_fetch(inner)
             }
             VData::Created { op, b } => {
                 // Fig. 9, 7th mapping: the label is produced locally.
-                let (op, b) = (*op, b.clone());
-                let OpState::Create { label, .. } = self.op(op) else {
+                let OpState::Create { label, .. } = self.op(*op) else {
                     unreachable!("createElement op")
                 };
-                match label.clone() {
+                match label {
                     // Query vocabulary: interned so every element this
                     // operator creates shares one allocation and labels
                     // compare by symbol downstream.
                     LabelSpec::Const(s) => Label::intern(s),
                     LabelSpec::Var(var) => {
-                        let val = self.attr(op, &b, &var);
+                        let var = var.clone();
+                        let val = self.attr(*op, b, &var);
                         let t = self.materialize_value(&val);
                         if t.is_leaf() {
                             t.label().clone()
@@ -214,8 +185,7 @@ impl Engine {
     /// from `r`/`f` everywhere else.
     pub(crate) fn val_select(&mut self, v: &VNode, pred: &LabelPred) -> Option<VNode> {
         if let VData::Src { src, h } = &*v.0 {
-            let (src, h) = (*src, h.clone());
-            return self.src_select(src, &h, pred);
+            return self.src_select(*src, h, pred);
         }
         let mut cur = self.val_right(v)?;
         loop {

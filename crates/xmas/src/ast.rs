@@ -2,15 +2,18 @@
 
 use crate::path::PathExpr;
 use std::fmt;
+use std::sync::Arc;
 
-/// A variable name (`$H` is spelled `Var("H")`).
+/// A variable name (`$H` is spelled `Var("H")`). Shared text: operators
+/// clone their variables on every attribute jump, so a clone is a
+/// reference-count bump.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Var(pub String);
+pub struct Var(pub Arc<str>);
 
 impl Var {
     /// Construct a variable from its name (without the `$`).
-    pub fn new(name: impl Into<String>) -> Self {
-        Var(name.into())
+    pub fn new(name: impl AsRef<str>) -> Self {
+        Var(Arc::from(name.as_ref()))
     }
 
     /// The variable's name without the `$`.

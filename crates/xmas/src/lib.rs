@@ -34,7 +34,7 @@ pub mod parser;
 pub mod path;
 
 pub use ast::{Condition, HeadElem, HeadItem, LabelSpec, Operand, Query, Var};
-pub use nfa::{Nfa, StateSet};
+pub use nfa::{Dfa, DfaState, Nfa, StateSet};
 pub use parser::parse_query;
 pub use path::{parse_path, PathExpr};
 

@@ -1,12 +1,19 @@
-//! Thompson-construction NFAs for generalized path expressions.
+//! Thompson-construction NFAs for generalized path expressions, and the
+//! lazily determinized automaton the lazy `getDescendants` runs.
 //!
 //! The lazy `getDescendants` operator matches a path expression while
-//! navigating *downwards only* (`d`/`r` commands), so it simulates the NFA
-//! along each root-to-node label sequence. [`StateSet`]s are small sorted
-//! vectors; the typical path has a handful of states.
+//! navigating *downwards only* (`d`/`r` commands), so it runs the
+//! automaton along each root-to-node label sequence. [`StateSet`]s are
+//! small sorted vectors; the typical path has a handful of states. The
+//! [`Dfa`] turns each state set into a `u32` id the first time it is
+//! reached, so a step over a sibling is an edge lookup instead of a new
+//! state set. The eager evaluator keeps stepping the [`Nfa`] itself.
 
 use crate::path::PathExpr;
+use mix_nav::LabelPred;
 use mix_xml::Label;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A set of NFA states, kept sorted and deduplicated.
 pub type StateSet = Vec<u32>;
@@ -183,6 +190,135 @@ impl Nfa {
     }
 }
 
+/// A state of a [`Dfa`].
+pub type DfaState = u32;
+
+/// Edge target not computed yet.
+const UNBUILT: DfaState = DfaState::MAX;
+
+/// A path [`Nfa`] determinized lazily: a state is an NFA state set,
+/// numbered the first time a step reaches it, and an edge is computed the
+/// first time it is taken. States are never removed, so an id stays valid
+/// for the automaton's life and cursors can hold it.
+#[derive(Debug, Clone)]
+pub struct Dfa {
+    nfa: Nfa,
+    states: Vec<DfaNode>,
+    ids: HashMap<StateSet, DfaState>,
+}
+
+#[derive(Debug, Clone)]
+struct DfaNode {
+    set: StateSet,
+    accepting: bool,
+    can_continue: bool,
+    /// The `select_φ` predicate of [`Nfa::label_frontier`]; `None` when a
+    /// wildcard leaves the set.
+    frontier: Option<Arc<LabelPred>>,
+    /// One edge per distinct test label leaving the set. The labels are
+    /// query constants, interned so that comparing an interned source
+    /// label with them is an integer test.
+    edges: Vec<(Label, DfaState)>,
+    /// The edge for every other label: only wildcard moves apply, so all
+    /// such labels lead to the same set.
+    other: DfaState,
+}
+
+impl Dfa {
+    /// The start state: the ε-closed start set of the NFA.
+    pub const START: DfaState = 0;
+
+    /// Determinize `nfa` lazily; only the start state is built here.
+    pub fn new(nfa: Nfa) -> Dfa {
+        let mut dfa = Dfa { nfa, states: Vec::new(), ids: HashMap::new() };
+        let start = dfa.nfa.start_set();
+        dfa.state_of(start);
+        dfa
+    }
+
+    fn state_of(&mut self, set: StateSet) -> DfaState {
+        if let Some(&id) = self.ids.get(&set) {
+            return id;
+        }
+        let nfa = &self.nfa;
+        let mut edges: Vec<(Label, DfaState)> = Vec::new();
+        let mut wildcard = false;
+        for &s in &set {
+            for (test, _) in &nfa.states[s as usize].trans {
+                match test {
+                    StepTest::Any => wildcard = true,
+                    StepTest::Label(l) => {
+                        if !edges.iter().any(|(e, _)| e.as_str() == l) {
+                            edges.push((Label::intern(l), UNBUILT));
+                        }
+                    }
+                }
+            }
+        }
+        // The edge labels in `label_frontier`'s order.
+        let frontier = (!wildcard).then(|| {
+            Arc::new(match edges.as_slice() {
+                [(one, _)] => LabelPred::Equals(one.clone()),
+                many => LabelPred::OneOf(many.iter().map(|(l, _)| l.clone()).collect()),
+            })
+        });
+        let id = DfaState::try_from(self.states.len()).expect("DFA state overflow");
+        self.states.push(DfaNode {
+            accepting: nfa.is_accepting(&set),
+            can_continue: nfa.can_continue(&set),
+            frontier,
+            edges,
+            other: UNBUILT,
+            set: set.clone(),
+        });
+        self.ids.insert(set, id);
+        id
+    }
+
+    /// The state reached from `s` over `label`, building it on first use.
+    pub fn step(&mut self, s: DfaState, label: &Label) -> DfaState {
+        let node = &self.states[s as usize];
+        let edge = node.edges.iter().position(|(l, _)| l == label);
+        let target = match edge {
+            Some(i) => node.edges[i].1,
+            None => node.other,
+        };
+        if target != UNBUILT {
+            return target;
+        }
+        let set = self.nfa.step(&node.set, label);
+        let target = self.state_of(set);
+        let node = &mut self.states[s as usize];
+        match edge {
+            Some(i) => node.edges[i].1 = target,
+            None => node.other = target,
+        }
+        target
+    }
+
+    /// [`Nfa::is_accepting`] of the state's set.
+    pub fn is_accepting(&self, s: DfaState) -> bool {
+        self.states[s as usize].accepting
+    }
+
+    /// [`Nfa::can_continue`] of the state's set.
+    pub fn can_continue(&self, s: DfaState) -> bool {
+        self.states[s as usize].can_continue
+    }
+
+    /// [`Nfa::label_frontier`] of the state's set as a ready `select_φ`
+    /// predicate: `Equals` for one label, `OneOf` otherwise (empty when
+    /// no transition leaves the set), `None` when a wildcard leaves it.
+    pub fn frontier(&self, s: DfaState) -> Option<&Arc<LabelPred>> {
+        self.states[s as usize].frontier.as_ref()
+    }
+
+    /// Number of states built so far.
+    pub fn state_count(&self) -> usize {
+        self.states.len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,6 +407,22 @@ mod tests {
         let s1 = n.step(&s0, &Label::new("part"));
         assert!(n.is_accepting(&s1));
         assert!(n.can_continue(&s1)); // could descend further
+    }
+
+    #[test]
+    fn dfa_states_are_built_once_and_reused() {
+        let mut d = Dfa::new(nfa("homes.home"));
+        assert_eq!(d.state_count(), 1, "only the start state is built up front");
+        let s1 = d.step(Dfa::START, &Label::new("homes"));
+        let other = d.step(Dfa::START, &Label::new("schools"));
+        assert_eq!(d.state_count(), 3);
+        assert_eq!(d.step(Dfa::START, &Label::new("homes")), s1);
+        assert_eq!(d.step(Dfa::START, &Label::new("zzz")), other, "one edge for every other label");
+        assert_eq!(d.state_count(), 3);
+        let s2 = d.step(s1, &Label::new("home"));
+        assert!(d.is_accepting(s2) && !d.can_continue(s2));
+        assert!(!d.is_accepting(other) && !d.can_continue(other));
+        assert_eq!(d.frontier(s1).map(|p| &**p), Some(&LabelPred::equals("home")));
     }
 
     #[test]

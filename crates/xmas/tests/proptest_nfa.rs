@@ -1,12 +1,16 @@
 //! Property tests: the Thompson NFA agrees with a naive recursive
-//! matcher on random path expressions and label sequences, and the
+//! matcher on random path expressions and label sequences, the
 //! incremental `step` interface is consistent with whole-sequence
-//! matching.
+//! matching, and the lazily determinized DFA agrees with the NFA it was
+//! built from state by state.
 
+use mix_nav::LabelPred;
 use mix_xmas::path::PathExpr;
-use mix_xmas::Nfa;
+use mix_xmas::{Dfa, DfaState, Nfa, StateSet};
 use mix_xml::Label;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Ground-truth matcher by structural recursion.
 fn naive_matches(e: &PathExpr, labels: &[&str]) -> bool {
@@ -108,4 +112,79 @@ proptest! {
             set = next;
         }
     }
+}
+
+/// `e` with every label renamed into a vocabulary no other case uses, so
+/// the case controls which of its labels are interned.
+fn rename(e: &PathExpr, suffix: &str) -> PathExpr {
+    match e {
+        PathExpr::Label(l) => PathExpr::Label(format!("{l}_{suffix}")),
+        PathExpr::Wildcard => PathExpr::Wildcard,
+        PathExpr::Seq(v) => PathExpr::Seq(v.iter().map(|p| rename(p, suffix)).collect()),
+        PathExpr::Alt(v) => PathExpr::Alt(v.iter().map(|p| rename(p, suffix)).collect()),
+        PathExpr::Star(p) => PathExpr::Star(Box::new(rename(p, suffix))),
+    }
+}
+
+/// A label step: a word (0–2 name path labels, 3 is outside the path's
+/// vocabulary) and whether the label is taken after the DFA was built.
+fn arb_steps() -> impl Strategy<Value = Vec<(usize, bool)>> {
+    proptest::collection::vec((0usize..4, 0usize..2).prop_map(|(w, late)| (w, late == 1)), 0..8)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    #[test]
+    fn lazy_dfa_agrees_with_the_nfa(e in arb_path(), steps in arb_steps()) {
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        let suffix = format!("dfa{}", CASE.fetch_add(1, Ordering::Relaxed));
+        let e = rename(&e, &suffix);
+        let words: Vec<String> =
+            ["a", "b", "c", "d"].iter().map(|w| format!("{w}_{suffix}")).collect();
+        // Labels minted before the DFA interns the path's vocabulary are
+        // uninterned; minted after, the in-vocabulary ones are interned.
+        let before: Vec<Label> = words.iter().map(Label::new).collect();
+        prop_assert!(before.iter().all(|l| l.symbol().is_none()));
+        let nfa = Nfa::compile(&e);
+        let mut dfa = Dfa::new(nfa.clone());
+        let after: Vec<Label> = words.iter().map(Label::new).collect();
+        // An out-of-vocabulary label that is interned nonetheless.
+        let interned_oov = Label::intern(format!("oov_{suffix}"));
+
+        let labels: Vec<Label> = steps
+            .iter()
+            .map(|&(word, late)| match (word, late) {
+                (3, true) => interned_oov.clone(),
+                (w, false) => before[w].clone(),
+                (w, true) => after[w].clone(),
+            })
+            .collect();
+
+        let mut set = nfa.start_set();
+        let mut state = Dfa::START;
+        check_state(&nfa, &dfa, &set, state)?;
+        for label in &labels {
+            set = nfa.step(&set, label);
+            state = dfa.step(state, label);
+            check_state(&nfa, &dfa, &set, state)?;
+        }
+        // Re-walking the same labels reuses the states and edges built.
+        let built = dfa.state_count();
+        let again = labels.iter().fold(Dfa::START, |s, l| dfa.step(s, l));
+        prop_assert_eq!(again, state);
+        prop_assert_eq!(dfa.state_count(), built);
+    }
+}
+
+/// The DFA state's flags and `select_φ` frontier are those of the NFA set.
+fn check_state(nfa: &Nfa, dfa: &Dfa, set: &StateSet, state: DfaState) -> Result<(), TestCaseError> {
+    prop_assert_eq!(dfa.is_accepting(state), nfa.is_accepting(set));
+    prop_assert_eq!(dfa.can_continue(state), nfa.can_continue(set));
+    let expected = nfa.label_frontier(set).map(|labels| match labels.as_slice() {
+        [one] => LabelPred::equals(one.as_str()),
+        many => LabelPred::OneOf(many.iter().map(Label::new).collect()),
+    });
+    prop_assert_eq!(dfa.frontier(state).map(|p| &**p), expected.as_ref());
+    Ok(())
 }

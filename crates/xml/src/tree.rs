@@ -1,6 +1,7 @@
 //! The recursive tree value `T = D | D[T*]`.
 
 use crate::label::Label;
+use std::borrow::Cow;
 use std::fmt;
 
 /// A labeled ordered tree (§2): either a leaf `d ∈ D` or `d[t1,…,tn]`.
@@ -73,6 +74,21 @@ impl Tree {
         let mut out = String::new();
         self.collect_text(&mut out);
         out
+    }
+
+    /// [`Tree::text`], borrowed when the text is a single leaf's label —
+    /// a leaf, or a chain of only children ending in one (`zip[91220]`).
+    /// Value comparisons read atomic content this way without copying it.
+    pub fn text_cow(&self) -> Cow<'_, str> {
+        let mut t = self;
+        while let [only] = t.children.as_slice() {
+            t = only;
+        }
+        if t.is_leaf() {
+            Cow::Borrowed(t.label.as_str())
+        } else {
+            Cow::Owned(t.text())
+        }
     }
 
     fn collect_text(&self, out: &mut String) {
@@ -208,6 +224,11 @@ mod tests {
         ]);
         assert_eq!(t.text(), "La Jolla91220");
         assert_eq!(t.child("zip").unwrap().text(), "91220");
+        let chain = tree!("a" => [tree!("b" => [tree!("c")])]);
+        for sub in [&t, t.child("zip").unwrap(), &tree!("x"), &chain] {
+            assert_eq!(sub.text_cow(), sub.text());
+        }
+        assert!(matches!(t.child("zip").unwrap().text_cow(), Cow::Borrowed("91220")));
     }
 
     #[test]
