@@ -21,6 +21,8 @@
 //! The physical counterpart — each operator implemented as a lazy mediator
 //! — lives in `mix-core`.
 
+#![forbid(unsafe_code)]
+
 pub mod browsability;
 pub mod compose;
 pub mod plan;

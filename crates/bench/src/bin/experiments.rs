@@ -10,6 +10,8 @@
 //! or quantified claims and prints the measured series. EXPERIMENTS.md
 //! records whether the paper-predicted shape holds.
 
+#![forbid(unsafe_code)]
+
 use mix_algebra::{classify, rewrite::rewrite, NcCapabilities};
 use mix_bench::*;
 use mix_buffer::BufferNavigator;

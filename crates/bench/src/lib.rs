@@ -4,6 +4,8 @@
 //! the Criterion benches and the `experiments` table binary measure
 //! exactly the same setups.
 
+#![forbid(unsafe_code)]
+
 use mix_algebra::{translate, Plan};
 use mix_core::{Engine, EngineConfig, SourceRegistry};
 use mix_nav::explore::{first_k_children, materialize};

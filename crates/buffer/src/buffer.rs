@@ -1237,6 +1237,19 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "different type")]
+    fn buffer_handle_given_to_an_erased_doc_navigator_panics() {
+        // Both handle types are `u32` indices, so only the type tag tells
+        // a buffer node-id from a document one.
+        let mut buffer = mix_nav::erase(buffered("r[a,b]", FillPolicy::NodeAtATime));
+        let root = buffer.root();
+        let a = buffer.down(&root).unwrap();
+        assert_eq!(format!("{a:?}"), "Buffer#1");
+        let mut doc = mix_nav::erase(mix_nav::DocNavigator::from_term("r[a,b]"));
+        let _ = doc.right(&a);
+    }
+
+    #[test]
     fn root_handle_costs_no_traffic() {
         let mut nav = buffered("a[b]", FillPolicy::NodeAtATime);
         let stats = nav.stats();

@@ -7,6 +7,7 @@
 //! represents.
 
 use crate::lxp::HoleId;
+use mix_nav::{HandleKind, WordHandle};
 use mix_xml::{Label, Tree};
 use std::fmt;
 
@@ -134,6 +135,19 @@ impl BufNodeId {
     /// Raw slab index.
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+}
+
+impl WordHandle for BufNodeId {
+    const KIND: HandleKind = HandleKind::Buffer;
+    type Arena = ();
+
+    fn into_word(self, _: &mut ()) -> u32 {
+        self.0
+    }
+
+    fn from_word(word: u32, _: &()) -> Self {
+        BufNodeId(word)
     }
 }
 

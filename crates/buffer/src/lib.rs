@@ -70,6 +70,8 @@
 //! [`TraceEvent`]: trace::TraceEvent
 //! [`MetricsRegistry`]: metrics::MetricsRegistry
 
+#![forbid(unsafe_code)]
+
 pub mod adaptive;
 pub mod buffer;
 pub mod cache;

@@ -10,7 +10,7 @@
 //! Every function here is *persistent* over handles: computing the next
 //! binding never invalidates earlier ones.
 
-use crate::handle::{BData, BHandle, VData, VNode};
+use crate::handle::{BData, BHandle, VData, VKind, VNode};
 use crate::matchcur::MatchCursor;
 use crate::ops::{JoinCacheEntry, JoinPred, OpState, PredVals};
 use crate::Engine;
@@ -363,9 +363,10 @@ impl Engine {
 
     fn attr_inner(&mut self, op: PlanId, b: &BHandle, var: &Var) -> VNode {
         match self.op(op) {
-            OpState::Source { out, doc, .. } => {
+            OpState::Source { src, out } => {
+                // The value is the source's virtual document node.
                 debug_assert_eq!(var, out, "source binds exactly one variable");
-                doc.clone()
+                VNode(VKind::SrcDoc { src: *src })
             }
             OpState::GetDesc { input, out, .. } => {
                 let (input, is_out) = (*input, var == out);

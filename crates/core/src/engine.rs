@@ -7,7 +7,7 @@
 //! gets the virtual root handle for free, and every subsequent navigation
 //! pulls exactly the source fragments needed to answer it.
 
-use crate::handle::{VData, VNode};
+use crate::handle::{VKind, VNode};
 use crate::metrics::{OpMetrics, NAV_CMDS};
 use crate::ops::{JoinPred, OpState};
 use crate::registry::{SharedSource, SourceRegistry};
@@ -756,7 +756,7 @@ impl Engine {
         let conn = &self.sources[src];
         conn.counters.bump_down();
         let out = lock_unpoisoned(&conn.nav).down(h)?;
-        Some(VNode::new(VData::Src { src, h: out }))
+        Some(VNode::source(src, out))
     }
 
     /// `r` on a source, charged to the operator path `at`.
@@ -771,7 +771,7 @@ impl Engine {
         let conn = &self.sources[src];
         conn.counters.bump_right();
         let out = lock_unpoisoned(&conn.nav).right(h)?;
-        Some(VNode::new(VData::Src { src, h: out }))
+        Some(VNode::source(src, out))
     }
 
     /// `f` on a source, charged to the operator path `at`.
@@ -801,13 +801,13 @@ impl Engine {
         let conn = &self.sources[src];
         conn.counters.bump_select();
         let out = lock_unpoisoned(&conn.nav).select(h, pred)?;
-        Some(VNode::new(VData::Src { src, h: out }))
+        Some(VNode::source(src, out))
     }
 
     pub(crate) fn src_root(&mut self, src: usize) -> VNode {
         // Obtaining the root handle is free (§1).
         let h = lock_unpoisoned(&self.sources[src].nav).root();
-        VNode::new(VData::Src { src, h })
+        VNode::source(src, h)
     }
 
     // ---- explain analyze -----------------------------------------------
@@ -965,11 +965,7 @@ fn build_op(
                     sources.len() - 1
                 }
             };
-            OpState::Source {
-                src: idx,
-                out: out.clone(),
-                doc: VNode::new(VData::SrcDoc { src: idx }),
-            }
+            OpState::Source { src: idx, out: out.clone() }
         }
         PlanNode::GetDescendants { input, parent, path, out } => OpState::GetDesc {
             input: *input,
@@ -1073,7 +1069,7 @@ impl Navigator for Engine {
         // "The mediator returns a handle to the root element of the
         //  virtual XML answer document without even accessing the
         //  sources."
-        VNode::new(VData::ClientRoot)
+        VNode(VKind::ClientRoot)
     }
 
     fn down(&mut self, p: &VNode) -> Option<VNode> {
@@ -1263,10 +1259,7 @@ mod concurrency_tests {
         let mut e = Engine::new(trio_plan(), &buffered_registry(Duration::ZERO)).unwrap();
         e.set_metrics(MetricsRegistry::enabled());
         let v = e.src_root(0);
-        let h = match &*v.0 {
-            VData::Src { h, .. } => h.clone(),
-            other => panic!("unexpected root payload {other:?}"),
-        };
+        let VKind::Src { h, .. } = v.0 else { panic!("unexpected root {v:?}") };
         let victim = e.root_op;
         let bystander = PlanId::from_index(e.src_leaf_op[0] as usize);
         assert_ne!(victim.index(), bystander.index());

@@ -2,10 +2,11 @@
 //!
 //! "Maintaining association tables for each operator is wasteful … the
 //! node-ids directly encode the association information `a(p)`." A handle
-//! is a small reference-counted value whose fields are exactly the input
-//! pointers the owning operator needs to continue navigation — compare
-//! Figure 9's `⟨v, p_b⟩` (createElement value level) and Figure 10's
-//! `⟨LS, p_b, p_g⟩` (groupBy member level).
+//! is a small value whose fields are exactly the input pointers the owning
+//! operator needs to continue navigation — compare Figure 9's `⟨v, p_b⟩`
+//! (createElement value level) and Figure 10's `⟨LS, p_b, p_g⟩` (groupBy
+//! member level). A source node-id is itself such a pointer and is held
+//! inline; the synthesized ones are reference-counted.
 //!
 //! Handles come in two sorts:
 //!
@@ -16,7 +17,7 @@
 
 use crate::matchcur::MatchCursor;
 use mix_algebra::PlanId;
-use mix_nav::DynHandle;
+use mix_nav::{DynHandle, HandleKind, WordHandle};
 use mix_xml::{Document, NodeId};
 use std::sync::Arc;
 
@@ -68,20 +69,18 @@ pub(crate) enum BData {
 
 /// Handle to a node of a (virtual) value tree — the engine's client-facing
 /// handle type.
+///
+/// Source node-ids are plain values, as in §4, where a source node-id is
+/// the buffer's pointer into its open tree: `(source, index)` words held
+/// inline, so making, copying and dropping one allocates nothing. Only the
+/// node-ids that operators synthesize share their association payload
+/// behind an `Arc`.
+#[derive(Clone)]
+pub struct VNode(pub(crate) VKind);
+
+/// The representation of a [`VNode`].
 #[derive(Clone, Debug)]
-pub struct VNode(pub(crate) Arc<VData>);
-
-impl VNode {
-    pub(crate) fn new(data: VData) -> Self {
-        VNode(Arc::new(data))
-    }
-}
-
-/// The node-id payloads. Each synthesized variant records the operator it
-/// belongs to plus the binding (and inner value pointers) needed to answer
-/// `d`/`r`/`f` — the association information `a(p)`.
-#[derive(Debug)]
-pub(crate) enum VData {
+pub(crate) enum VKind {
     /// The virtual *document node* above source `src`'s root element.
     /// XMAS paths are rooted here: `homesSrc homes.home $H` consumes the
     /// root element's label (`homes`) as its first step, exactly like the
@@ -89,6 +88,56 @@ pub(crate) enum VData {
     SrcDoc { src: usize },
     /// A node inside wrapped source `src`.
     Src { src: usize, h: DynHandle },
+    /// The unresolved root of the virtual answer document: handed to the
+    /// client "without even accessing the sources" (§1); resolved on the
+    /// first real navigation.
+    ClientRoot,
+    /// A node-id synthesized by an operator.
+    Synth(Arc<VData>),
+}
+
+impl VNode {
+    pub(crate) fn new(data: VData) -> Self {
+        VNode(VKind::Synth(Arc::new(data)))
+    }
+
+    pub(crate) fn source(src: usize, h: DynHandle) -> Self {
+        VNode(VKind::Src { src, h })
+    }
+}
+
+impl std::fmt::Debug for VNode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match &self.0 {
+            VKind::Synth(data) => data.fmt(f),
+            kind => kind.fmt(f),
+        }
+    }
+}
+
+impl WordHandle for VNode {
+    const KIND: HandleKind = HandleKind::Mediator;
+    /// A lower mediator's node-ids are not indices, so the upper engine's
+    /// erased source keeps each one it is handed, for as long as the
+    /// source is registered.
+    type Arena = Vec<VNode>;
+
+    fn into_word(self, arena: &mut Vec<VNode>) -> u32 {
+        let word = u32::try_from(arena.len()).expect("fewer than 2^32 mediator node-ids");
+        arena.push(self);
+        word
+    }
+
+    fn from_word(word: u32, arena: &Vec<VNode>) -> Self {
+        arena[word as usize].clone()
+    }
+}
+
+/// The synthesized node-id payloads. Each variant records the operator it
+/// belongs to plus the binding (and inner value pointers) needed to answer
+/// `d`/`r`/`f` — the association information `a(p)`.
+#[derive(Debug)]
+pub(crate) enum VData {
     /// A node of an owned constant tree (literals in query heads).
     Const { doc: Arc<Document>, node: NodeId },
     /// A value torn from its original sibling context: `d`/`f` delegate,
@@ -118,10 +167,6 @@ pub(crate) enum VData {
     },
     /// The element created by `createElement` for binding `b`.
     Created { op: PlanId, b: BHandle },
-    /// The unresolved root of the virtual answer document: handed to the
-    /// client "without even accessing the sources" (§1); resolved on the
-    /// first real navigation.
-    ClientRoot,
 }
 
 #[cfg(test)]
@@ -130,9 +175,21 @@ mod tests {
 
     #[test]
     fn handles_are_cheap_to_clone() {
-        let v = VNode::new(VData::ClientRoot);
+        // Source and client-root node-ids are inline values: a clone is a
+        // copy (`crates/bench/tests/alloc_handles.rs` pins that it
+        // allocates nothing). Synthesized node-ids share one payload.
+        assert!(std::mem::size_of::<VNode>() <= 16);
+        let mut n = mix_nav::erase(mix_nav::DocNavigator::from_term("a"));
+        let v = VNode::source(3, n.root());
         let w = v.clone();
-        assert!(Arc::ptr_eq(&v.0, &w.0));
+        assert_eq!(format!("{w:?}"), "Src { src: 3, h: Doc#0 }");
+        let doc = Arc::new(Document::from_tree(&mix_xml::Tree::leaf("c")));
+        let v = VNode::new(VData::Const { doc, node: NodeId::ROOT });
+        let w = v.clone();
+        match (&v.0, &w.0) {
+            (VKind::Synth(a), VKind::Synth(b)) => assert!(Arc::ptr_eq(a, b)),
+            other => panic!("unexpected {other:?}"),
+        }
         let b = BHandle::new(BData::Source);
         let c = b.clone();
         assert!(Arc::ptr_eq(&b.0, &c.0));

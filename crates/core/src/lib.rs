@@ -12,11 +12,12 @@
 //!
 //! * **Node-ids encode associations.** "The mediator does not store the
 //!   node-ids and their associations. Instead the node-ids directly encode
-//!   the association information, similar to Skolem-ids." Our
-//!   [`VNode`]/`BHandle` are reference-counted values whose fields are
-//!   the input handles an operator needs to continue navigation from that
-//!   node — e.g. a groupBy member carries `⟨LS, p_b, p_g⟩` exactly like
-//!   Figure 10.
+//!   the association information, similar to Skolem-ids." A source
+//!   node-id is the source's own index, held inline in a [`VNode`]; the
+//!   synthesized [`VNode`]s and `BHandle`s are reference-counted values
+//!   whose fields are the input handles an operator needs to continue
+//!   navigation from that node — e.g. a groupBy member carries
+//!   `⟨LS, p_b, p_g⟩` exactly like Figure 10.
 //! * **Attribute jumps between operators.** Operators request the value of
 //!   a binding attribute directly (`b.H`, `b.LSs`) instead of walking the
 //!   `bs`/`b` tree — Appendix A: "it is wasteful to navigate over the
@@ -35,6 +36,8 @@
 //! differential testing.
 //!
 //! [`Navigator`]: mix_nav::Navigator
+
+#![forbid(unsafe_code)]
 
 mod bindings;
 #[cfg(test)]

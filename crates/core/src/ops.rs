@@ -78,8 +78,6 @@ pub(crate) enum OpState {
         /// Index into the engine's source table.
         src: usize,
         out: Var,
-        /// The source's virtual document node, the value of `out`.
-        doc: VNode,
     },
     GetDesc {
         input: PlanId,

@@ -3,7 +3,7 @@
 use crate::EngineError;
 use mix_algebra::{parse_view_source, ViewCatalog};
 use mix_buffer::{BufferStats, FragmentCache, MetricsRegistry, SourceHealth, TraceSink};
-use mix_nav::{erase, DocNavigator, DynNavigator, Navigator};
+use mix_nav::{erase, DocNavigator, DynNavigator, Navigator, WordHandle};
 use mix_xml::Tree;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -52,11 +52,14 @@ impl SourceRegistry {
         SourceRegistry::default()
     }
 
-    /// Register any navigator under a source name.
+    /// Register any navigator under a source name. Its handles erase to
+    /// one word ([`WordHandle`]): document and buffer node-ids are indices
+    /// already, and another engine's [`VNode`](crate::VNode)s are kept in
+    /// the source's arena for as long as it is registered.
     pub fn add_navigator<N>(&mut self, name: impl Into<String>, nav: N) -> &mut Self
     where
         N: Navigator + Send + 'static,
-        N::Handle: Send + Sync + 'static,
+        N::Handle: WordHandle,
     {
         self.sources.insert(
             name.into(),
@@ -85,7 +88,7 @@ impl SourceRegistry {
     ) -> &mut Self
     where
         N: Navigator + Send + 'static,
-        N::Handle: Send + Sync + 'static,
+        N::Handle: WordHandle,
     {
         self.sources.insert(
             name.into(),
@@ -118,7 +121,7 @@ impl SourceRegistry {
     ) -> &mut Self
     where
         N: Navigator + Send + 'static,
-        N::Handle: Send + Sync + 'static,
+        N::Handle: WordHandle,
     {
         self.sources.insert(
             name.into(),
@@ -151,7 +154,7 @@ impl SourceRegistry {
     ) -> &mut Self
     where
         N: Navigator + Send + 'static,
-        N::Handle: Send + Sync + 'static,
+        N::Handle: WordHandle,
     {
         self.sources.insert(
             name.into(),
@@ -191,7 +194,7 @@ impl SourceRegistry {
     ) -> &mut Self
     where
         N: Navigator + Send + 'static,
-        N::Handle: Send + Sync + 'static,
+        N::Handle: WordHandle,
     {
         self.sources.insert(
             name.into(),

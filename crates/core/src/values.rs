@@ -13,7 +13,7 @@
 //!   group list scans the input for the next binding with the same
 //!   group-by list.
 
-use crate::handle::{BData, BHandle, VData, VNode};
+use crate::handle::{BData, BHandle, VData, VKind, VNode};
 use crate::ops::OpState;
 use crate::Engine;
 use mix_algebra::PlanId;
@@ -28,11 +28,18 @@ pub use mix_xml::DOC_LABEL;
 impl Engine {
     /// `d(p)` on a value node.
     pub(crate) fn val_down(&mut self, v: &VNode) -> Option<VNode> {
-        match &*v.0 {
+        let data = match &v.0 {
             // The document node's single child is the source's root
             // element; obtaining that handle is the free `get_root`.
-            VData::SrcDoc { src } => Some(self.src_root(*src)),
-            VData::Src { src, h } => self.src_down(*src, h),
+            VKind::SrcDoc { src } => return Some(self.src_root(*src)),
+            VKind::Src { src, h } => return self.src_down(*src, h),
+            VKind::ClientRoot => {
+                let root = self.resolve_client_root();
+                return self.val_down(&root);
+            }
+            VKind::Synth(data) => data,
+        };
+        match &**data {
             VData::Const { doc, node } => {
                 let child = doc.down(*node)?;
                 Some(VNode::new(VData::Const { doc: doc.clone(), node: child }))
@@ -60,19 +67,18 @@ impl Engine {
                 let ch_val = self.attr(*op, b, &ch);
                 self.val_down(&ch_val)
             }
-            VData::ClientRoot => {
-                let root = self.resolve_client_root();
-                self.val_down(&root)
-            }
         }
     }
 
     /// `r(p)` on a value node.
     pub(crate) fn val_right(&mut self, v: &VNode) -> Option<VNode> {
-        match &*v.0 {
-            // A document node has no siblings.
-            VData::SrcDoc { .. } => None,
-            VData::Src { src, h } => self.src_right(*src, h),
+        let data = match &v.0 {
+            // A document node has no siblings, nor has the answer's root.
+            VKind::SrcDoc { .. } | VKind::ClientRoot => return None,
+            VKind::Src { src, h } => return self.src_right(*src, h),
+            VKind::Synth(data) => data,
+        };
+        match &**data {
             VData::Const { doc, node } => {
                 let sib = doc.right(*node)?;
                 Some(VNode::new(VData::Const { doc: doc.clone(), node: sib }))
@@ -84,8 +90,7 @@ impl Engine {
             VData::WrapList { .. }
             | VData::ConcatList { .. }
             | VData::GroupList { .. }
-            | VData::Created { .. }
-            | VData::ClientRoot => None,
+            | VData::Created { .. } => None,
             VData::ConcatMember { op, b, side, from_list, inner } => {
                 if *from_list {
                     if let Some(next) = self.val_right(inner) {
@@ -140,9 +145,16 @@ impl Engine {
 
     /// `f(p)` on a value node.
     pub(crate) fn val_fetch(&mut self, v: &VNode) -> Label {
-        match &*v.0 {
-            VData::SrcDoc { .. } => Label::new(DOC_LABEL),
-            VData::Src { src, h } => self.src_fetch(*src, h),
+        let data = match &v.0 {
+            VKind::SrcDoc { .. } => return Label::new(DOC_LABEL),
+            VKind::Src { src, h } => return self.src_fetch(*src, h),
+            VKind::ClientRoot => {
+                let root = self.resolve_client_root();
+                return self.val_fetch(&root);
+            }
+            VKind::Synth(data) => data,
+        };
+        match &**data {
             VData::Const { doc, node } => doc.fetch(*node).clone(),
             VData::Solo { inner } => self.val_fetch(inner),
             // The special `list` label (§3).
@@ -174,17 +186,13 @@ impl Engine {
                     }
                 }
             }
-            VData::ClientRoot => {
-                let root = self.resolve_client_root();
-                self.val_fetch(&root)
-            }
         }
     }
 
     /// `select_φ(p)`: native on source nodes (one source command), derived
     /// from `r`/`f` everywhere else.
     pub(crate) fn val_select(&mut self, v: &VNode, pred: &LabelPred) -> Option<VNode> {
-        if let VData::Src { src, h } = &*v.0 {
+        if let VKind::Src { src, h } = &v.0 {
             return self.src_select(*src, h, pred);
         }
         let mut cur = self.val_right(v)?;

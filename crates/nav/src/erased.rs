@@ -3,42 +3,69 @@
 //! The mediator integrates sources of different kinds behind one plan
 //! (Figure 1: RDB, Web sites, OODB). Each wrapper has its own handle type,
 //! so the engine talks to sources through the object-safe [`DynNavigator`]
-//! trait whose [`DynHandle`] is a type-erased, reference-counted handle.
-//! [`erase`] adapts any [`Navigator`] with `'static` handles.
+//! trait whose [`DynHandle`] is a plain `Copy` word: the source's own node
+//! index plus a tag naming the handle type (§4: a source node-id is the
+//! buffer's pointer into its open tree). [`erase`] adapts any
+//! [`Navigator`] whose handles are [`WordHandle`]s.
 
 use crate::pred::LabelPred;
 use crate::Navigator;
-use mix_xml::Label;
-use std::any::Any;
-use std::sync::Arc;
+use mix_xml::{Label, NodeId};
 
-/// A type-erased node handle. Cheap to clone (an `Arc` bump), and
-/// `Send + Sync` so handles may cross thread boundaries (prefetch
+/// The handle types an erased navigator can carry. The tag travels in
+/// every [`DynHandle`], so a handle given to a navigator of another type
+/// is caught rather than misread as one of its own indices.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum HandleKind {
+    /// A node of a materialized document (`mix_xml::NodeId`).
+    Doc,
+    /// A node of a buffer's open tree (`mix_buffer::BufNodeId`).
+    Buffer,
+    /// A node of a lower mediator's virtual answer (`mix_core::VNode`).
+    Mediator,
+}
+
+/// A source handle that erases to one `u32` word.
+///
+/// Document and buffer node-ids are indices already, so they convert with
+/// no storage (`Arena = ()`). A handle that is not an index keeps its
+/// values in the erased navigator's arena and erases to a position in it.
+pub trait WordHandle: Clone + Send + 'static {
+    /// The tag its erased handles carry.
+    const KIND: HandleKind;
+    /// Per-navigator storage behind the words.
+    type Arena: Default + Send;
+    /// The word that stands for `self`.
+    fn into_word(self, arena: &mut Self::Arena) -> u32;
+    /// The handle a word made by [`into_word`](Self::into_word) stands for.
+    fn from_word(word: u32, arena: &Self::Arena) -> Self;
+}
+
+impl WordHandle for NodeId {
+    const KIND: HandleKind = HandleKind::Doc;
+    type Arena = ();
+
+    fn into_word(self, _: &mut ()) -> u32 {
+        self.index() as u32
+    }
+
+    fn from_word(word: u32, _: &()) -> Self {
+        NodeId::from_index(word as usize)
+    }
+}
+
+/// A type-erased node handle: a tagged `u32` word. Copying it is free and
+/// it is `Send + Sync`, so handles may cross thread boundaries (prefetch
 /// workers, parallel per-source exchanges).
-#[derive(Clone)]
-pub struct DynHandle(Arc<dyn Any + Send + Sync>);
-
-impl DynHandle {
-    /// Wrap a concrete handle.
-    pub fn new<H: Send + Sync + 'static>(h: H) -> Self {
-        DynHandle(Arc::new(h))
-    }
-
-    /// Downcast to the concrete handle type.
-    ///
-    /// # Panics
-    /// Panics when the handle was produced by a different navigator type;
-    /// that is a plan-construction bug, not a data error.
-    pub fn expect<H: 'static>(&self) -> &H {
-        self.0
-            .downcast_ref::<H>()
-            .expect("DynHandle used with a navigator of a different type")
-    }
+#[derive(Clone, Copy)]
+pub struct DynHandle {
+    kind: HandleKind,
+    word: u32,
 }
 
 impl std::fmt::Debug for DynHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "DynHandle")
+        write!(f, "{:?}#{}", self.kind, self.word)
     }
 }
 
@@ -59,31 +86,63 @@ pub trait DynNavigator: Send {
     fn select(&mut self, p: &DynHandle, pred: &LabelPred) -> Option<DynHandle>;
 }
 
-struct Erased<N>(N);
+struct Erased<N: Navigator>
+where
+    N::Handle: WordHandle,
+{
+    nav: N,
+    arena: <N::Handle as WordHandle>::Arena,
+}
+
+impl<N> Erased<N>
+where
+    N: Navigator,
+    N::Handle: WordHandle,
+{
+    fn erase_handle(&mut self, h: N::Handle) -> DynHandle {
+        DynHandle { kind: <N::Handle as WordHandle>::KIND, word: h.into_word(&mut self.arena) }
+    }
+
+    /// # Panics
+    /// Panics when the handle was produced by a navigator of a different
+    /// type; that is a plan-construction bug, not a data error.
+    fn handle_of(&self, p: &DynHandle) -> N::Handle {
+        assert!(
+            p.kind == <N::Handle as WordHandle>::KIND,
+            "DynHandle {p:?} used with a navigator of a different type"
+        );
+        N::Handle::from_word(p.word, &self.arena)
+    }
+}
 
 impl<N> DynNavigator for Erased<N>
 where
     N: Navigator + Send,
-    N::Handle: Send + Sync + 'static,
+    N::Handle: WordHandle,
 {
     fn root(&mut self) -> DynHandle {
-        DynHandle::new(self.0.root())
+        let h = self.nav.root();
+        self.erase_handle(h)
     }
 
     fn down(&mut self, p: &DynHandle) -> Option<DynHandle> {
-        self.0.down(p.expect::<N::Handle>()).map(DynHandle::new)
+        let h = self.nav.down(&self.handle_of(p))?;
+        Some(self.erase_handle(h))
     }
 
     fn right(&mut self, p: &DynHandle) -> Option<DynHandle> {
-        self.0.right(p.expect::<N::Handle>()).map(DynHandle::new)
+        let h = self.nav.right(&self.handle_of(p))?;
+        Some(self.erase_handle(h))
     }
 
     fn fetch(&mut self, p: &DynHandle) -> Label {
-        self.0.fetch(p.expect::<N::Handle>())
+        let h = self.handle_of(p);
+        self.nav.fetch(&h)
     }
 
     fn select(&mut self, p: &DynHandle, pred: &LabelPred) -> Option<DynHandle> {
-        self.0.select(p.expect::<N::Handle>(), pred).map(DynHandle::new)
+        let h = self.nav.select(&self.handle_of(p), pred)?;
+        Some(self.erase_handle(h))
     }
 }
 
@@ -91,9 +150,9 @@ where
 pub fn erase<N>(nav: N) -> Box<dyn DynNavigator>
 where
     N: Navigator + Send + 'static,
-    N::Handle: Send + Sync + 'static,
+    N::Handle: WordHandle,
 {
-    Box::new(Erased(nav))
+    Box::new(Erased { nav, arena: Default::default() })
 }
 
 // A boxed DynNavigator is itself a Navigator with DynHandle handles, so all
@@ -160,7 +219,16 @@ mod tests {
     #[should_panic(expected = "different type")]
     fn foreign_handle_panics() {
         let mut n = erase(DocNavigator::from_term("a"));
-        let foreign = DynHandle::new(123u8);
+        let foreign = DynHandle { kind: HandleKind::Mediator, word: 0 };
         let _ = n.down(&foreign);
+    }
+
+    #[test]
+    fn handles_are_tagged_words() {
+        let mut n = erase(DocNavigator::from_term("a[b,c]"));
+        let root = n.root();
+        let c = n.down(&root).and_then(|b| n.right(&b)).unwrap();
+        assert_eq!(format!("{c:?}"), "Doc#2");
+        assert_eq!(std::mem::size_of::<DynHandle>(), 8);
     }
 }

@@ -26,6 +26,8 @@
 //!
 //! [`Document`]: mix_xml::Document
 
+#![forbid(unsafe_code)]
+
 pub mod command;
 pub mod counted;
 pub mod doc;
@@ -38,7 +40,7 @@ pub mod summary;
 pub use command::{Cmd, NavProgram, Step};
 pub use counted::{CountedNavigator, NavCounters, NavStats};
 pub use doc::DocNavigator;
-pub use erased::{erase, DynHandle, DynNavigator};
+pub use erased::{erase, DynHandle, DynNavigator, HandleKind, WordHandle};
 pub use explore::{explored_part, materialize, materialize_children};
 pub use pred::LabelPred;
 pub use recorded::{Recorded, RecordingNavigator, Trace};

@@ -11,6 +11,8 @@
 //! the paper's ("initiate the necessary updates to the relational cursor,
 //! based on the form of the \[hole\] id"), so the API is cursor-centric.
 
+#![forbid(unsafe_code)]
+
 pub mod cursor;
 pub mod db;
 pub mod query;

@@ -28,6 +28,8 @@
 //! `/healthz`, `/sessions`, `/slow`, per-verb RED series, and a
 //! slow-navigation log whose entries carry span ids.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod codec;
 pub mod pipe;

@@ -19,6 +19,8 @@
 //!   bookstore integration scenario of §1, recursive parts catalogs, and
 //!   random labeled trees.
 
+#![forbid(unsafe_code)]
+
 pub mod gen;
 pub mod oodb;
 pub mod relational;

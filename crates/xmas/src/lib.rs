@@ -27,6 +27,8 @@
 //! and generalized [`path`] expressions compiled to NFAs ([`nfa`]). The
 //! algebra and the translation live in `mix-algebra`.
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod lexer;
 pub mod nfa;

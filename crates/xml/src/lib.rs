@@ -25,6 +25,8 @@
 //!   XML surface syntax,
 //! * canonical serialization used by the engine for value-based grouping.
 
+#![forbid(unsafe_code)]
+
 pub mod document;
 pub mod label;
 pub mod term;
